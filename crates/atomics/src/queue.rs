@@ -196,22 +196,23 @@ mod tests {
             }));
         }
         let consumed = Arc::new(std::sync::Mutex::new(HashSet::new()));
+        // Consumers stop once they have dequeued every element between
+        // them, however unevenly the OS schedules them. (Stopping each
+        // at `per` of its own hangs the one that got fewer.)
+        let taken = Arc::new(std::sync::atomic::AtomicU64::new(0)); // detlint: allow(direct-atomic): test-harness stop counter
         for _ in 0..2 {
             let q = Arc::clone(&q);
             let consumed = Arc::clone(&consumed);
+            let taken = Arc::clone(&taken);
             handles.push(thread::spawn(move || {
                 let mut local = HashSet::new();
-                loop {
+                while taken.load(std::sync::atomic::Ordering::SeqCst) < producers * per {
                     match q.dequeue() {
                         Some((v, _)) => {
                             assert!(local.insert(v));
+                            taken.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                         }
-                        None => {
-                            if local.len() as u64 >= per {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
+                        None => std::thread::yield_now(),
                     }
                 }
                 consumed.lock().unwrap().extend(local);

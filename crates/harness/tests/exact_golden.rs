@@ -1,9 +1,12 @@
 //! Golden-output regression test for `--exact` mode: the fixed
 //! full-budget run must keep producing byte-identical experiment TSVs
 //! across refactors of the engine internals (event queue, run-length
-//! plumbing). The fixtures under `tests/golden/` were captured from the
-//! pre-calendar-queue BinaryHeap engine, so any drift here means the
-//! scheduler swap changed simulation semantics.
+//! plumbing, the directory service path). The `fig1`/`fig4` fixtures
+//! under `tests/golden/` were captured from the pre-calendar-queue
+//! BinaryHeap engine; the `e13`, `ablations` and `e15` fixtures from the
+//! engine before the sharer bitset, the queued-GetM counter and
+//! allocation-free arbitration. Any drift here means a refactor changed
+//! simulation semantics.
 //!
 //! To re-bless after an *intentional* semantic change:
 //!
@@ -48,4 +51,30 @@ fn exact_fig4_e5_matches_golden() {
     let ctx = ExpCtx::quick().with_exact(true);
     let t = experiments::fig4(ctx, Machine::E5).expect("fig4 must run");
     check_golden("fig4-e5", &t.to_tsv());
+}
+
+#[test]
+fn exact_e13_e5_matches_golden() {
+    // ReadScan under MESI, MESIF and MOESI: sharer fan-out and
+    // invalidation through the directory's sharer set.
+    let ctx = ExpCtx::quick().with_exact(true);
+    let t = experiments::protocol_ablation(ctx, Machine::E5).expect("e13 must run");
+    check_golden("e13-e5", &t.to_tsv());
+}
+
+#[test]
+fn exact_ablations_e5_matches_golden() {
+    // The arbitration policies and the link-occupancy model, which
+    // charges invalidation hops in ascending sharer order.
+    let ctx = ExpCtx::quick().with_exact(true);
+    let t = experiments::ablations(ctx, Machine::E5).expect("ablations must run");
+    check_golden("ablations-e5", &t.to_tsv());
+}
+
+#[test]
+fn exact_e15_e5_matches_golden() {
+    // Fabric NACKs, retries and jitter.
+    let ctx = ExpCtx::quick().with_exact(true);
+    let t = experiments::degraded_fabric(ctx, Machine::E5).expect("e15 must run");
+    check_golden("e15-e5", &t.to_tsv());
 }

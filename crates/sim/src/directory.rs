@@ -11,7 +11,8 @@
 use crate::cache::LineId;
 use crate::config::HomePolicy;
 use bounce_topo::{CoherenceKind, MachineTopology, TileId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
 
 /// A coherence request waiting at (or being serviced by) the directory.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +27,99 @@ pub struct Request {
     pub issued_at: u64,
 }
 
+/// The cores holding shared copies of a line: a bitset of `u64` words,
+/// one bit per core id, grown on demand (no core-count cap; KNL's 72
+/// cores fit in two words). Iteration is in ascending core order and
+/// `Debug` prints the set as a `BTreeSet<usize>` would. `clear` zeroes
+/// the words in place, so a line's set allocates only when it first
+/// sees a higher core id.
+#[derive(Default)]
+pub struct SharerSet {
+    words: Vec<u64>,
+}
+
+impl SharerSet {
+    /// Add a core; true if it was not already present.
+    pub fn insert(&mut self, core: usize) -> bool {
+        let (w, bit) = (core / 64, 1u64 << (core % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        fresh
+    }
+
+    /// Remove a core; true if it was present.
+    pub fn remove(&mut self, core: usize) -> bool {
+        let (w, bit) = (core / 64, 1u64 << (core % 64));
+        match self.words.get_mut(w) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether a core is present.
+    pub fn contains(&self, core: usize) -> bool {
+        self.word(core / 64) & (1u64 << (core % 64)) != 0
+    }
+
+    /// Remove every core, keeping the allocated words.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Number of cores present.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether no core is present.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Number of words; core ids `64 * w ..` live in word `w`.
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Word `w` of the bitset (zero past the end). Lets a caller walk
+    /// the set in ascending order without holding a borrow of it.
+    pub fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
+    }
+
+    /// Core ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| word_cores(w, word))
+    }
+}
+
+/// The core ids set in word `w` of a [`SharerSet`], ascending.
+pub(crate) fn word_cores(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if word == 0 {
+            return None;
+        }
+        let bit = word.trailing_zeros() as usize;
+        word &= word - 1;
+        Some(w * 64 + bit)
+    })
+}
+
+impl fmt::Debug for SharerSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// Directory state for one line.
 ///
 /// The directory serialises *exclusive* transactions per line (one GetM
@@ -37,18 +131,35 @@ pub struct LineDir {
     /// Core holding the line in M/E, if any.
     pub owner: Option<usize>,
     /// Cores holding shared copies.
-    pub sharers: BTreeSet<usize>,
+    pub sharers: SharerSet,
     /// Core holding the MESIF Forward copy, if any.
     pub forward: Option<usize>,
     /// The exclusive request currently in service, if any.
     pub excl_in_flight: Option<Request>,
     /// Number of read (GetS) requests currently in service.
     pub shared_in_flight: u32,
-    /// Waiting requests.
+    /// Waiting requests. Mutate through [`LineDir::enqueue`] and
+    /// [`LineDir::dequeue`], which keep `queued_excl` in step.
     pub queue: VecDeque<Request>,
+    /// Number of exclusive (GetM) requests in `queue`, so writer
+    /// priority is a counter read rather than a queue scan.
+    pub queued_excl: u32,
 }
 
 impl LineDir {
+    /// Append a waiting request.
+    pub fn enqueue(&mut self, req: Request) {
+        self.queued_excl += req.excl as u32;
+        self.queue.push_back(req);
+    }
+
+    /// Take the waiting request at queue position `pos`.
+    pub fn dequeue(&mut self, pos: usize) -> Option<Request> {
+        let req = self.queue.remove(pos)?;
+        self.queued_excl -= req.excl as u32;
+        Some(req)
+    }
+
     /// Whether an exclusive transaction is in service.
     pub fn busy_excl(&self) -> bool {
         self.excl_in_flight.is_some()
@@ -62,7 +173,8 @@ impl LineDir {
     /// Directory invariants, parameterised by protocol.
     ///
     /// Common to all protocols: the Forward holder, when present, is also
-    /// listed as sharer; exclusive and shared service never overlap.
+    /// listed as sharer; exclusive and shared service never overlap; the
+    /// queued-GetM counter matches the queue.
     /// Under MESI(F) an owned line additionally has no sharers and no
     /// Forward copy; under MOESI a (dirty) owner legitimately coexists
     /// with sharers — but is never itself listed as one — and the Forward
@@ -70,7 +182,7 @@ impl LineDir {
     pub fn check_invariants(&self, kind: CoherenceKind) -> Result<(), String> {
         if let Some(o) = self.owner {
             if kind == CoherenceKind::Moesi {
-                if self.sharers.contains(&o) {
+                if self.sharers.contains(o) {
                     return Err(format!("owner {o} also listed as sharer"));
                 }
             } else if !self.sharers.is_empty() {
@@ -89,7 +201,7 @@ impl LineDir {
                     "forward holder {f} under non-MESIF protocol {kind}"
                 ));
             }
-            if !self.sharers.contains(&f) {
+            if !self.sharers.contains(f) {
                 return Err(format!("forward holder {f} not in sharer set"));
             }
         }
@@ -97,6 +209,13 @@ impl LineDir {
             return Err(format!(
                 "exclusive service overlaps {} shared services",
                 self.shared_in_flight
+            ));
+        }
+        let excl_queued = self.queue.iter().filter(|r| r.excl).count();
+        if self.queued_excl as usize != excl_queued {
+            return Err(format!(
+                "queued-GetM count {} but {excl_queued} GetM queued",
+                self.queued_excl
             ));
         }
         Ok(())
@@ -245,7 +364,7 @@ impl Directory {
     pub fn evict_sharer(&mut self, line: LineId, core: usize) {
         if let Some(i) = self.lookup(line) {
             let e = &mut self.entries[i as usize];
-            e.sharers.remove(&core);
+            e.sharers.remove(core);
             if e.forward == Some(core) {
                 e.forward = None;
             }
@@ -329,6 +448,30 @@ mod tests {
     }
 
     #[test]
+    fn invariants_catch_skewed_queued_excl_count() {
+        let req = |excl| Request {
+            thread: 0,
+            core: 0,
+            excl,
+            issued_at: 0,
+        };
+        let mut e = LineDir::default();
+        e.enqueue(req(true));
+        e.enqueue(req(false));
+        e.enqueue(req(true));
+        assert_eq!(e.queued_excl, 2);
+        assert!(e.check_invariants(CoherenceKind::Mesi).is_ok());
+        assert!(e.dequeue(0).expect("queued").excl);
+        assert_eq!(e.queued_excl, 1);
+        assert!(e.check_invariants(CoherenceKind::Mesi).is_ok());
+        // A queue mutation that bypasses `enqueue`/`dequeue` skews the
+        // counter, and the invariant check names it.
+        e.queue.push_back(req(true));
+        let err = e.check_invariants(CoherenceKind::Mesi).unwrap_err();
+        assert!(err.contains("queued-GetM count 1 but 2"), "{err}");
+    }
+
+    #[test]
     fn eviction_helpers() {
         let topo = presets::tiny_test_machine();
         let mut dir = Directory::new(&topo, HomePolicy::Hash, 0);
@@ -375,7 +518,7 @@ mod tests {
         // The LineId-keyed view sees the same entry.
         assert_eq!(dir.get(LineId(64)).unwrap().owner, Some(3));
         dir.entry(LineId(64)).sharers.insert(1);
-        assert!(dir.get_at(i).sharers.contains(&1));
+        assert!(dir.get_at(i).sharers.contains(1));
     }
 
     #[test]

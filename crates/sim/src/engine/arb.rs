@@ -7,33 +7,37 @@ use crate::config::ArbitrationPolicy;
 use rand::Rng;
 
 impl Engine {
-    /// Arbitration: the queue index to serve next, restricted to GetS
-    /// requests when `shared_only`.
-    pub(super) fn pick_request(&mut self, idx: u32, shared_only: bool) -> Option<usize> {
-        let home = self.dir.home_of(idx);
+    /// Arbitration: the queue index to serve next. Allocation-free: FIFO
+    /// takes the front, Random indexes the queue with one draw, and
+    /// nearest-first makes one pass keeping the first minimum.
+    ///
+    /// `pump` only starts a request while no GetM is queued behind a
+    /// running GetS batch (writer priority), so every queued request is
+    /// eligible here.
+    pub(super) fn pick_request(&mut self, idx: u32) -> Option<usize> {
         let entry = self.dir.get_at(idx);
-        let eligible: Vec<usize> = entry
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !shared_only || !r.excl)
-            .map(|(i, _)| i)
-            .collect();
-        if eligible.is_empty() {
+        debug_assert!(
+            entry.shared_in_flight == 0 || entry.queued_excl == 0,
+            "pick with a GetM queued behind a running GetS batch"
+        );
+        let len = entry.queue.len();
+        if len == 0 {
             return None;
         }
-        let anchor = entry.owner.map(|c| self.topo.cores[c].tile).unwrap_or(home);
         match self.cfg.params.arbitration {
-            ArbitrationPolicy::Fifo => Some(eligible[0]),
-            ArbitrationPolicy::Random => {
-                let k = self.rng.gen_range(0..eligible.len());
-                Some(eligible[k])
-            }
+            ArbitrationPolicy::Fifo => Some(0),
+            ArbitrationPolicy::Random => Some(self.rng.gen_range(0..len)),
             ArbitrationPolicy::NearestFirst => {
-                let entry = self.dir.get_at(idx);
-                eligible
-                    .into_iter()
-                    .min_by_key(|&i| self.hops(anchor, self.tile_of_core(entry.queue[i].core)))
+                let anchor = entry
+                    .owner
+                    .map(|c| self.tile_of_core(c))
+                    .unwrap_or_else(|| self.dir.home_of(idx));
+                entry
+                    .queue
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, r)| self.hops(anchor, self.tile_of_core(r.core)))
+                    .map(|(i, _)| i)
             }
         }
     }

@@ -377,7 +377,7 @@ impl Engine {
             .collect();
         crate::conform::DirSnapshot {
             owner: e.owner.map(|o| o as u32),
-            sharers: e.sharers.iter().map(|&s| s as u32).collect(),
+            sharers: e.sharers.iter().map(|s| s as u32).collect(),
             forward: e.forward.map(|f| f as u32),
             caches,
         }
@@ -525,7 +525,7 @@ impl Engine {
     pub fn dir_sharers(&self, line: LineId) -> Vec<usize> {
         self.dir
             .get(line)
-            .map(|e| e.sharers.iter().copied().collect())
+            .map(|e| e.sharers.iter().collect())
             .unwrap_or_default()
     }
 

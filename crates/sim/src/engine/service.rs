@@ -12,7 +12,7 @@
 
 use super::{Engine, Ev};
 use crate::cache::{LineId, LineState};
-use crate::directory::Request;
+use crate::directory::{word_cores, Request};
 use crate::protocol::{DataSource, KindDispatch};
 use crate::trace::TraceEvent;
 use bounce_topo::TileId;
@@ -34,7 +34,7 @@ impl Engine {
         } else {
             None
         };
-        self.dir.entry_at(idx).queue.push_back(req);
+        self.dir.entry_at(idx).enqueue(req);
         #[cfg(feature = "conform-trace")]
         self.conform_push(
             idx,
@@ -136,28 +136,21 @@ impl Engine {
     /// one is queued, no further GetS starts until it has been served.
     pub(super) fn pump(&mut self, idx: u32) {
         loop {
-            let shared_only = {
-                let e = self.dir.entry_at(idx);
-                if e.queue.is_empty() || e.busy_excl() {
+            {
+                let e = self.dir.get_at(idx);
+                if e.busy_excl() || (e.shared_in_flight > 0 && e.queued_excl > 0) {
+                    // Writer priority: a queued GetM waits for the shared
+                    // batch to drain, and starts no GetS meanwhile.
                     return;
                 }
-                if e.shared_in_flight > 0 {
-                    if e.queue.iter().any(|r| r.excl) {
-                        // Writer priority: drain the shared batch first.
-                        return;
-                    }
-                    true
-                } else {
-                    false
-                }
-            };
-            let Some(pick) = self.pick_request(idx, shared_only) else {
+            }
+            let Some(pick) = self.pick_request(idx) else {
                 return;
             };
             let (req, queue_len) = {
                 let entry = self.dir.entry_at(idx);
                 let queue_len = entry.queue.len();
-                let req = entry.queue.remove(pick).expect("picked request exists");
+                let req = entry.dequeue(pick).expect("picked request exists");
                 if req.excl {
                     entry.excl_in_flight = Some(req);
                 } else {
@@ -224,10 +217,7 @@ impl Engine {
     fn depart_line(&mut self, idx: u32, req: &Request) {
         let tid = req.thread;
         let line = self.dir.line_at(idx);
-        let (owner, sharers): (Option<usize>, Vec<usize>) = {
-            let e = self.dir.get_at(idx);
-            (e.owner, e.sharers.iter().copied().collect())
-        };
+        let owner = self.dir.get_at(idx).owner;
         if req.excl {
             if let Some(o) = owner {
                 if o != req.core {
@@ -247,7 +237,7 @@ impl Engine {
                     self.invalidations += 1;
                 }
             }
-            for s in sharers {
+            for s in self.dir.get_at(idx).sharers.iter() {
                 if s != req.core {
                     self.caches[s].invalidate(line);
                     self.invalidations += 1;
@@ -282,12 +272,11 @@ impl Engine {
     /// the data comes from; this method charges the legs.
     fn service_latency(&mut self, idx: u32, req: &Request) -> u64 {
         let dir_lookup = self.cfg.params.dir_lookup as u64;
-        let inv_nj = self.cfg.params.energy.inv_nj;
         let home = self.dir.home_of(idx);
         let req_tile = self.tile_of_core(req.core);
-        let (owner, sharers, forward): (Option<usize>, Vec<usize>, Option<usize>) = {
+        let (owner, forward) = {
             let e = self.dir.get_at(idx);
-            (e.owner, e.sharers.iter().copied().collect(), e.forward)
+            (e.owner, e.forward)
         };
         let mut lat = dir_lookup;
         if req.excl {
@@ -295,17 +284,16 @@ impl Engine {
             // Under MESI(F) an owned line has no sharers, so this only
             // runs for clean-shared lines; under MOESI it also runs
             // alongside a retained Owned copy.
-            let inv_far = sharers
+            let inv_far = self
+                .dir
+                .get_at(idx)
+                .sharers
                 .iter()
-                .filter(|&&s| s != req.core)
-                .map(|&s| self.wire(home, self.tile_of_core(s)))
+                .filter(|&s| s != req.core)
+                .map(|s| self.wire(home, self.tile_of_core(s)))
                 .max()
                 .unwrap_or(0) as u64;
-            for &s in sharers.iter().filter(|&&s| s != req.core) {
-                let st = self.tile_of_core(s);
-                let _ = self.charge_hops(home, st);
-                self.energy.invalidation_j += inv_nj * 1e-9;
-            }
+            self.charge_invalidations(idx, req.core);
             let source = self.protocol.write_source(owner, forward, req.core);
             let data = self.data_leg(idx, source, req_tile);
             lat += inv_far.max(data);
@@ -314,6 +302,25 @@ impl Engine {
             lat += self.data_leg(idx, source, req_tile);
         }
         lat
+    }
+
+    /// Charge the invalidation message from the home to every sharer
+    /// but `except`, in ascending core order. The order is load-bearing:
+    /// under the link-bandwidth model each message queues behind the
+    /// earlier ones on shared links, and the f64 energy sums depend on
+    /// the order of their terms. `charge_hops` needs `&mut self`, so the
+    /// set is walked one copied word at a time.
+    pub(super) fn charge_invalidations(&mut self, idx: u32, except: usize) {
+        let home = self.dir.home_of(idx);
+        let inv_nj = self.cfg.params.energy.inv_nj;
+        for w in 0..self.dir.get_at(idx).sharers.word_count() {
+            let word = self.dir.get_at(idx).sharers.word(w);
+            for s in word_cores(w, word).filter(|&s| s != except) {
+                let st = self.tile_of_core(s);
+                let _ = self.charge_hops(home, st);
+                self.energy.invalidation_j += inv_nj * 1e-9;
+            }
+        }
     }
 
     /// Latency of the data leg answering a transaction, charging the

@@ -997,3 +997,122 @@ fn backoff_survives_occupancy_pressure_where_eager_storms() {
     assert!(rep.total_ops() > 0);
     assert!(rep.nacks > 0, "the pressure was real");
 }
+
+/// The collect-then-choose arbitration that `pick_request` replaced,
+/// kept as its reference model: gather the eligible queue indices, then
+/// choose among them.
+fn pick_request_reference(eng: &mut Engine, idx: u32, shared_only: bool) -> Option<usize> {
+    use rand::Rng;
+    let home = eng.dir.home_of(idx);
+    let entry = eng.dir.get_at(idx);
+    let eligible: Vec<usize> = entry
+        .queue
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| !shared_only || !r.excl)
+        .map(|(i, _)| i)
+        .collect();
+    if eligible.is_empty() {
+        return None;
+    }
+    let anchor = entry.owner.map(|c| eng.topo.cores[c].tile).unwrap_or(home);
+    match eng.cfg.params.arbitration {
+        ArbitrationPolicy::Fifo => Some(eligible[0]),
+        ArbitrationPolicy::Random => {
+            let k = eng.rng.gen_range(0..eligible.len());
+            Some(eligible[k])
+        }
+        ArbitrationPolicy::NearestFirst => eligible
+            .into_iter()
+            .min_by_key(|&i| eng.hops(anchor, eng.tile_of_core(entry.queue[i].core))),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+    /// The allocation-free `pick_request` picks what the reference picks
+    /// for every policy on random queues, and leaves the engine RNG in
+    /// the same state (Random consumes the identical single draw).
+    #[test]
+    fn pick_request_matches_collect_then_choose(
+        policy_raw in 0u8..3,
+        queue in proptest::collection::vec((0usize..72, proptest::prelude::any::<bool>()), 0..24),
+        owner_raw in 0usize..80,
+        shared_batch in proptest::prelude::any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        use rand::Rng;
+        let topo = presets::xeon_phi_7290();
+        let mut params = SimParams::knl();
+        params.arbitration = match policy_raw {
+            0 => ArbitrationPolicy::Fifo,
+            1 => ArbitrationPolicy::Random,
+            _ => ArbitrationPolicy::NearestFirst,
+        };
+        params.seed = seed;
+        // `pump` asks for a pick during a running GetS batch only when
+        // no GetM is queued (writer priority).
+        let shared_only = shared_batch && queue.iter().all(|&(_, excl)| !excl);
+        let mut engines = [0, 1].map(|_| {
+            let mut eng = Engine::new(&topo, SimConfig::new(params.clone(), 1_000));
+            let idx = eng.dir.intern(LineId(0x4000));
+            let e = eng.dir.entry_at(idx);
+            // Owner ids past the core count mean "no owner".
+            e.owner = (owner_raw < 72).then_some(owner_raw);
+            e.shared_in_flight = shared_only as u32;
+            for (thread, &(core, excl)) in queue.iter().enumerate() {
+                e.enqueue(Request { thread, core, excl, issued_at: 0 });
+            }
+            (eng, idx)
+        });
+        let [(new, idx), (old, _)] = &mut engines;
+        let picked = new.pick_request(*idx);
+        let want = pick_request_reference(old, *idx, shared_only);
+        proptest::prop_assert_eq!(picked, want);
+        proptest::prop_assert_eq!(new.rng.gen::<u64>(), old.rng.gen::<u64>());
+    }
+}
+
+/// Invalidations are charged in ascending sharer order. Under the
+/// link-bandwidth model each message queues behind the earlier ones on
+/// the links it shares with them, so another order leaves different
+/// link horizons and changes later latencies.
+#[test]
+fn invalidations_charge_sharers_in_ascending_order() {
+    let topo = presets::xeon_phi_7290();
+    let mut params = SimParams::knl();
+    params.link_occupancy_cycles = 6;
+    let requester = 0;
+    let sharers = [3usize, 17, 40, 41, 66, 70];
+    let engine = || {
+        let mut eng = Engine::new(&topo, SimConfig::new(params.clone(), 1_000));
+        let idx = eng.dir.intern(LineId(0x4000));
+        let e = eng.dir.entry_at(idx);
+        e.sharers.insert(requester);
+        for &s in &sharers {
+            e.sharers.insert(s);
+        }
+        (eng, idx)
+    };
+    let walk = |order: &[usize]| {
+        let (mut eng, idx) = engine();
+        let home = eng.dir.home_of(idx);
+        for &s in order {
+            let tile = eng.tile_of_core(s);
+            eng.charge_hops(home, tile);
+        }
+        eng.link_busy
+    };
+    let (mut eng, idx) = engine();
+    eng.charge_invalidations(idx, requester);
+    let ascending = walk(&sharers);
+    assert_eq!(eng.link_busy, ascending);
+    let mut descending = sharers;
+    descending.reverse();
+    assert_ne!(
+        walk(&descending),
+        ascending,
+        "these sharers must make the charge order observable"
+    );
+}

@@ -1,14 +1,15 @@
 //! Property tests for the dense line-index map that replaced the
 //! directory's per-access `HashMap` lookups: interning must agree with
 //! the old HashMap-keyed semantics for every access pattern, including
-//! lines first touched mid-run (the `OpIndexed` fallback path).
+//! lines first touched mid-run (the `OpIndexed` fallback path). The
+//! bitset sharer set must behave like the `BTreeSet<usize>` it replaced.
 
 use bounce_sim::cache::LineId;
 use bounce_sim::config::HomePolicy;
-use bounce_sim::directory::Directory;
+use bounce_sim::directory::{Directory, SharerSet};
 use bounce_topo::presets;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 fn policy_from(raw: u8) -> HomePolicy {
     match raw % 3 {
@@ -18,7 +19,51 @@ fn policy_from(raw: u8) -> HomePolicy {
     }
 }
 
+/// One mutation of a sharer set.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Insert(usize),
+    Remove(usize),
+    Clear,
+}
+
+fn set_op() -> impl Strategy<Value = SetOp> {
+    // Core ids 0..300 cross the 64- and 128-core word boundaries.
+    (0u8..10, 0usize..300).prop_map(|(kind, core)| match kind {
+        0 => SetOp::Clear,
+        1..=3 => SetOp::Remove(core),
+        _ => SetOp::Insert(core),
+    })
+}
+
 proptest! {
+    /// The bitset sharer set agrees with a `BTreeSet<usize>` model under
+    /// random insert/remove/clear: return values, ascending iteration,
+    /// `len`, `is_empty`, `contains` and the `Debug` text.
+    #[test]
+    fn sharer_set_matches_btreeset(ops in proptest::collection::vec(set_op(), 1..200)) {
+        let mut set = SharerSet::default();
+        let mut model = BTreeSet::new();
+        for op in &ops {
+            match *op {
+                SetOp::Insert(c) => prop_assert_eq!(set.insert(c), model.insert(c)),
+                SetOp::Remove(c) => prop_assert_eq!(set.remove(c), model.remove(&c)),
+                SetOp::Clear => {
+                    set.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+            prop_assert_eq!(format!("{set:?}"), format!("{model:?}"));
+        }
+        for c in 0..320 {
+            prop_assert_eq!(set.contains(c), model.contains(&c), "core {}", c);
+            prop_assert_eq!(set.word(c / 64) & (1 << (c % 64)) != 0, model.contains(&c));
+        }
+    }
+
     /// The interned map is a bijection between touched lines and
     /// `0..tracked_lines()`, assigned densely in first-touch order, and
     /// every dense accessor agrees with its legacy HashMap-semantics
@@ -100,9 +145,9 @@ proptest! {
             let legacy_owner = dir.get(line).unwrap().owner;
             prop_assert_eq!(dir.get_at(idx).owner, legacy_owner);
             let legacy_sharers: Vec<usize> =
-                dir.get(line).unwrap().sharers.iter().copied().collect();
+                dir.get(line).unwrap().sharers.iter().collect();
             let dense_sharers: Vec<usize> =
-                dir.get_at(idx).sharers.iter().copied().collect();
+                dir.get_at(idx).sharers.iter().collect();
             prop_assert_eq!(dense_sharers, legacy_sharers);
         }
         // Eviction through the legacy API updates the dense view.

@@ -129,33 +129,47 @@ fn false_sharing_collapse_and_padding_fix() {
 
 /// The seqlock's promise natively: concurrent readers never observe a
 /// torn pair even while a writer churns (the structure the read-mostly
-/// experiment motivates).
+/// experiment motivates). The writer keeps writing until the reader has
+/// validated `TARGET` snapshots, so the reads overlap the churn however
+/// the OS schedules the two threads; the deadline only bounds a hang.
 #[test]
 fn seqlock_no_torn_reads_under_writer_churn() {
     use bounce_atomics::SeqLock;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    const TARGET: u64 = 1_000;
     let sl = Arc::new(SeqLock::new([0u64, 0]));
     let stop = Arc::new(AtomicBool::new(false));
+    let validated = Arc::new(AtomicU64::new(0));
     let reader = {
         let sl = Arc::clone(&sl);
         let stop = Arc::clone(&stop);
+        let validated = Arc::clone(&validated);
         std::thread::spawn(move || {
             let mut checked = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.load(Ordering::SeqCst) {
                 let (v, _) = sl.read();
                 assert_eq!(v[1], v[0].wrapping_mul(3), "torn: {v:?}");
                 checked += 1;
+                validated.store(checked, Ordering::SeqCst);
             }
             checked
         })
     };
-    for i in 1..=20_000u64 {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut i = 0u64;
+    while (i < 20_000 || validated.load(Ordering::SeqCst) < TARGET) && Instant::now() < deadline {
+        i += 1;
         sl.write(|d| {
             d[0] = i;
             d[1] = i.wrapping_mul(3);
         });
     }
     stop.store(true, Ordering::SeqCst);
-    assert!(reader.join().unwrap() > 0);
+    let checked = reader.join().expect("reader thread panicked");
+    assert!(
+        checked >= TARGET,
+        "reader validated {checked} snapshots in {i} writes, want {TARGET}"
+    );
 }
