@@ -35,7 +35,8 @@ repro jobs="0":
 repro-quick jobs="0":
     cargo run --release -p bounce-bench --bin repro -- all --quick --jobs {{jobs}} --timings --out results-quick/
 
-# All criterion benches.
+# Criterion microbenches of the native atomics on this host. The
+# simulator's performance ledger is perfbench (see perfbench/README.md).
 bench:
     cargo bench --workspace
 

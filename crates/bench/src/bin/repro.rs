@@ -7,6 +7,7 @@
 //! repro all --jobs 4 --timings   # parallel run with per-experiment times
 //! repro all --out D --resume     # skip experiments already completed in D
 //! repro all --filter fig1,e14    # run a subset of the campaign
+//! repro all --machine knl        # the tables plus every KNL experiment
 //! repro fig1 --machine knl       # one experiment, one machine
 //! repro table2 --markdown        # markdown instead of TSV on stdout
 //! repro predict --machine e5 --threads 24 --prim faa [--placement packed]
@@ -30,10 +31,18 @@
 //! `--jobs N` fans independent simulation points across `N` host
 //! threads (default: all cores; `--jobs 1` is the serial baseline).
 //! Results are collected in sweep order, so the output is byte-identical
-//! at every job count. `repro all --timings` also writes
-//! `BENCH_repro.json` (in the invocation directory) with the
-//! wall-clock, total simulated events and events/sec for the run, keyed
-//! by run-length mode.
+//! at every job count. `--timings` reports per-experiment wall-clock,
+//! simulated events and the run-length tally on stderr; the recorded
+//! performance ledger is `perfbench` (see `perfbench/README.md`).
+//!
+//! # Experiment selection
+//!
+//! The experiment registry is `experiments::experiment_specs`. A named
+//! experiment (`repro fig1`, `repro --experiment e15`) is the campaign
+//! filtered to that id, exactly as `repro all --filter fig1`: same
+//! stdout, same output files, same manifest. `--machine m` keeps the
+//! machine-independent tables and the ids for machine `m`, on every
+//! path.
 //!
 //! # Run length
 //!
@@ -244,57 +253,27 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-const EXPERIMENT_IDS: [&str; 22] = [
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "e13",
-    "e14",
-    "e15",
-    "ablations",
-    "sensitivity",
-    "latency-hist",
-];
+/// An experiment id with its machine suffix (`-e5`, `-knl`) stripped:
+/// `fig1-knl` → `fig1`; machine-independent ids such as `table1` are
+/// returned unchanged.
+fn base_id(id: &str) -> &str {
+    Machine::ALL
+        .iter()
+        .find_map(|m| id.strip_suffix(m.label())?.strip_suffix('-'))
+        .unwrap_or(id)
+}
 
-fn run_one(id: &str, ctx: ExpCtx, machine: Machine) -> Option<experiments::ExpResult> {
-    Some(match id {
-        "table1" => Ok(experiments::table1()),
-        "table2" => experiments::table2(ctx),
-        "fig1" => experiments::fig1(ctx, machine),
-        "fig2" => experiments::fig2(ctx, machine),
-        "fig3" => experiments::fig3(ctx, machine),
-        "fig4" => experiments::fig4(ctx, machine),
-        "fig5" => experiments::fig5(ctx, machine),
-        "fig6" => experiments::fig6(ctx, machine),
-        "fig7" => experiments::fig7(ctx, machine),
-        "fig8" => experiments::fig8(ctx, machine),
-        "fig9" => experiments::fig9(ctx, machine),
-        "fig10" => experiments::fig10(ctx, machine),
-        "fig11" => experiments::fig11(ctx, machine),
-        "fig12" => experiments::fig12(ctx, machine),
-        "fig13" => experiments::fig13(ctx, machine),
-        "fig14" => experiments::fig14(ctx, machine),
-        "e13" => experiments::protocol_ablation(ctx, machine),
-        "e14" => experiments::fault_injection(ctx, machine),
-        "e15" => experiments::degraded_fabric(ctx, machine),
-        "ablations" => experiments::ablations(ctx, machine),
-        "sensitivity" => experiments::sensitivity(ctx, machine),
-        "latency-hist" => experiments::latency_hist(ctx, machine),
-        _ => return None,
-    })
+/// The ids `repro` accepts as a command: the registry's ids with the
+/// machine suffix stripped, deduplicated, in registry order.
+fn known_ids(ctx: ExpCtx) -> Vec<String> {
+    let mut ids: Vec<String> = Vec::new();
+    for (id, _) in experiments::experiment_specs(ctx) {
+        let base = base_id(&id);
+        if !ids.iter().any(|known| known == base) {
+            ids.push(base.to_string());
+        }
+    }
+    ids
 }
 
 /// Whether a `--filter` token selects the (possibly machine-suffixed)
@@ -316,9 +295,10 @@ enum Outcome {
     Failed(String),
 }
 
-/// `repro all`: the full campaign with panic isolation, optional
-/// manifest-backed resume, and a single unified error path for output
-/// files. Returns nonzero if any experiment failed.
+/// The campaign — `repro all` or one named experiment — with panic
+/// isolation, optional manifest-backed resume, and a single unified
+/// error path for output files. Returns nonzero if any experiment
+/// failed.
 fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
     if args.resume && args.out.is_none() {
         eprintln!("error: --resume needs --out DIR (the directory holding MANIFEST.json)");
@@ -332,14 +312,21 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
     }
 
     let mut specs = experiments::experiment_specs(ctx);
+    if let Some(m) = args.machine {
+        let suffix = format!("-{}", m.label());
+        specs.retain(|(id, _)| base_id(id) == id || id.ends_with(&suffix));
+    }
     if let Some(filter) = &args.filter {
         if let Some(bad) = filter
             .iter()
             .find(|tok| !specs.iter().any(|(id, _)| filter_matches(tok, id)))
         {
             eprintln!(
-                "error: --filter '{bad}' matches no experiment; known: {}",
-                EXPERIMENT_IDS.join(", ")
+                "error: unknown experiment '{bad}'{}; known: {}",
+                args.machine
+                    .map(|m| format!(" on {}", m.label()))
+                    .unwrap_or_default(),
+                known_ids(ctx).join(", ")
             );
             return ExitCode::FAILURE;
         }
@@ -425,11 +412,10 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
         (outcome, t0.elapsed())
     });
     let wall = t0.elapsed();
-    let events = bounce_sim::counters::total_events();
-
-    let tally = bounce_sim::counters::run_tally();
 
     if args.timings {
+        let events = bounce_sim::counters::total_events();
+        let tally = bounce_sim::counters::run_tally();
         eprintln!("--- timings ({} jobs) ---", bounce_harness::jobs());
         for ((id, _), (outcome, d)) in specs.iter().zip(&outcomes) {
             match outcome {
@@ -465,37 +451,6 @@ fn run_all(args: &Args, ctx: ExpCtx) -> ExitCode {
             mt.seconds,
             100.0 * mt.seconds / wall.as_secs_f64()
         );
-        // BENCH_repro.json lives in the invocation directory (the repo
-        // root under `just repro-quick`), keyed by run-length mode so
-        // the adaptive entry is always read next to its exact baseline.
-        let bench_path = PathBuf::from("BENCH_repro.json");
-        let entry = bounce_bench::bench_json::BenchEntry {
-            command: format!(
-                "repro all{}{}",
-                if args.quick { " --quick" } else { "" },
-                if args.exact { " --exact" } else { "" }
-            ),
-            jobs: bounce_harness::jobs(),
-            wall_seconds: wall.as_secs_f64(),
-            simulated_events: events,
-            events_per_sec: events as f64 / wall.as_secs_f64(),
-            experiments: specs.len(),
-            runs: tally.runs,
-            early_stop_runs: tally.early,
-            cycles_simulated: tally.cycles_simulated,
-            cycles_budgeted: tally.cycles_budgeted,
-        };
-        let existing = std::fs::read_to_string(&bench_path).ok();
-        let merged = bounce_bench::bench_json::merge_bench_json(
-            existing.as_deref(),
-            if args.exact { "exact" } else { "adaptive" },
-            &entry,
-        );
-        if let Err(e) = std::fs::write(&bench_path, merged) {
-            eprintln!("error: writing {}: {e}", bench_path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", bench_path.display());
     }
 
     // stdout, in registry order. Cached experiments were not re-run, so
@@ -604,18 +559,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--filter` selects experiments of the `all` campaign; on any other
-    // subcommand it used to parse and then be silently ignored.
-    if args.filter.is_some() && args.command != "all" {
-        eprintln!(
-            "error: --filter only applies to 'repro all' (the '{}' command \
-             names its work directly and would silently ignore the filter); \
-             known experiment ids: {}",
-            args.command,
-            EXPERIMENT_IDS.join(", ")
-        );
-        return ExitCode::FAILURE;
-    }
     let mut ctx = if args.quick {
         ExpCtx::quick()
     } else {
@@ -631,12 +574,24 @@ fn main() -> ExitCode {
         ctx = ctx.with_retry_policy(r);
     }
     ctx = ctx.with_exact(args.exact);
+    // `--filter` selects experiments of the `all` campaign; a named
+    // experiment is already a filter and every other command names its
+    // work directly.
+    if args.filter.is_some() && args.command != "all" {
+        eprintln!(
+            "error: --filter only applies to 'repro all', not '{}'; \
+             known experiment ids: {}",
+            args.command,
+            known_ids(ctx).join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
     bounce_harness::set_jobs(args.jobs);
     match args.command.as_str() {
         "help" => {
             eprintln!(
                 "usage: repro [predict|fit|validate|conform|sweep|topo|list|lint|all|{}] [--machine e5|knl] [--protocol {}] [--fabric-faults {}] [--retry-policy {}] [--quick] [--exact] [--jobs N] [--timings] [--markdown] [--plots] [--out DIR] [--resume] [--filter IDS]",
-                EXPERIMENT_IDS.join("|"),
+                known_ids(ctx).join("|"),
                 protocol_names().replace(", ", "|"),
                 fabric_names().replace(", ", "|"),
                 retry_names().replace(", ", "|")
@@ -741,7 +696,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "list" => {
-            for id in EXPERIMENT_IDS {
+            for id in known_ids(ctx) {
                 println!("{id}");
             }
             ExitCode::SUCCESS
@@ -878,48 +833,9 @@ fn main() -> ExitCode {
         }
         "conform" => run_conform(&args),
         "all" => run_all(&args, ctx),
-        id => {
-            let machines: Vec<Machine> = match args.machine {
-                Some(m) => vec![m],
-                None => Machine::ALL.to_vec(),
-            };
-            let mut found = false;
-            for m in machines {
-                match run_one(id, ctx, m) {
-                    Some(Ok(t)) => {
-                        found = true;
-                        if let Some(dir) = &args.out {
-                            let file_id = format!("{id}-{}", m.label());
-                            if let Err(e) = write_table_outputs(dir, &file_id, &t, args.plots) {
-                                eprintln!("error: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                        if args.markdown {
-                            print!("{}", t.to_markdown());
-                        } else {
-                            println!("{}", t.to_tsv());
-                        }
-                        // The global tables are machine-independent.
-                        if id.starts_with("table") {
-                            break;
-                        }
-                    }
-                    Some(Err(e)) => {
-                        eprintln!("error: {id} on {}: {e}", m.label());
-                        return ExitCode::FAILURE;
-                    }
-                    None => break,
-                }
-            }
-            if !found {
-                eprintln!(
-                    "unknown experiment '{id}'; known: {}",
-                    EXPERIMENT_IDS.join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
+        _ => {
+            let filter = Some(vec![args.command.clone()]);
+            run_all(&Args { filter, ..args }, ctx)
         }
     }
 }

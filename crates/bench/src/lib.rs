@@ -1,10 +1,9 @@
-//! Benchmark support: shared helpers for the Criterion benches and the
-//! `repro` binary that regenerates every table and figure of the
-//! evaluation.
+//! Support library of the `repro` binary, which regenerates every table
+//! and figure of the evaluation: output files, the campaign manifest and
+//! the conformance campaign.
 
 #![warn(missing_docs)]
 
-pub mod bench_json;
 #[cfg(feature = "conform")]
 pub mod conform;
 pub mod manifest;
@@ -12,19 +11,11 @@ pub mod manifest;
 use bounce_harness::report::Table;
 use manifest::{fnv1a_hex, FileRecord};
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
-/// Write a table as TSV under `dir/<id>.tsv`, creating the directory.
-pub fn write_tsv(dir: &Path, id: &str, table: &Table) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let mut f = fs::File::create(dir.join(format!("{id}.tsv")))?;
-    f.write_all(table.to_tsv().as_bytes())
-}
-
-/// Emit a gnuplot script that plots a TSV written by [`write_tsv`]:
-/// first column on the x axis, every numeric column as a series, PNG
-/// output next to the data.
+/// Emit a gnuplot script that plots a TSV written by
+/// [`write_table_outputs`]: first column on the x axis, every numeric
+/// column as a series, PNG output next to the data.
 pub fn gnuplot_script(id: &str, table: &Table) -> String {
     let mut s = String::new();
     s.push_str("set terminal pngcairo size 900,540 enhanced\n");
@@ -60,13 +51,6 @@ pub fn gnuplot_script(id: &str, table: &Table) -> String {
         s.push_str(&format!("plot {}\n", plots.join(", \\\n     ")));
     }
     s
-}
-
-/// Write a table's TSV *and* its gnuplot script under `dir`.
-pub fn write_tsv_with_plot(dir: &Path, id: &str, table: &Table) -> std::io::Result<()> {
-    write_tsv(dir, id, table)?;
-    let mut f = fs::File::create(dir.join(format!("{id}.gp")))?;
-    f.write_all(gnuplot_script(id, table).as_bytes())
 }
 
 /// Write all output files of one experiment (TSV, plus the gnuplot
@@ -114,18 +98,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tsv_roundtrip_via_disk() {
-        let mut t = Table::new("t", &["a"]);
-        t.push(vec!["1".into()]);
-        let dir = std::env::temp_dir().join("bounce-bench-test");
-        write_tsv(&dir, "demo", &t).unwrap();
-        let content = std::fs::read_to_string(dir.join("demo.tsv")).unwrap();
-        assert!(content.contains("# t"));
-        assert!(content.contains('1'));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gnuplot_script_plots_numeric_columns_only() {
         let mut t = Table::new("demo title", &["n", "x_mops", "label"]);
         t.push(vec!["1".into(), "10.5".into(), "abc".into()]);
@@ -141,17 +113,6 @@ mod tests {
         let t = Table::new("empty", &["n", "x"]);
         let gp = gnuplot_script("empty", &t);
         assert!(gp.contains("no numeric series"));
-    }
-
-    #[test]
-    fn write_tsv_with_plot_creates_both_files() {
-        let mut t = Table::new("t", &["n", "v"]);
-        t.push(vec!["1".into(), "2".into()]);
-        let dir = std::env::temp_dir().join("bounce-bench-plot-test");
-        write_tsv_with_plot(&dir, "demo", &t).unwrap();
-        assert!(dir.join("demo.tsv").exists());
-        assert!(dir.join("demo.gp").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Integration tests for `repro all` crash-safe resume: drive the real
-//! binary (via `CARGO_BIN_EXE_repro`), interrupt or vandalise a
-//! campaign, and check that `--resume` reconstructs a byte-identical
-//! results directory.
+//! Integration tests for the `repro` campaign: drive the real binary
+//! (via `CARGO_BIN_EXE_repro`). Experiment selection — by id, by
+//! `--filter` and by `--machine` — must agree with the registry, and
+//! crash-safe resume — interrupt or vandalise a campaign — must make
+//! `--resume` reconstruct a byte-identical results directory.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -202,4 +203,105 @@ fn killed_campaign_resumes_byte_identical() {
 
     fs::remove_dir_all(&fresh).unwrap();
     fs::remove_dir_all(&killed).unwrap();
+}
+
+fn stdout_of(args: &[&str]) -> String {
+    let out = repro().args(args).output().expect("spawn repro");
+    assert!(
+        out.status.success(),
+        "repro {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// The registry's experiment ids with the machine suffix stripped,
+/// deduplicated, in registry order.
+fn registry_base_ids() -> Vec<String> {
+    use bounce_harness::experiments::{experiment_specs, ExpCtx, Machine};
+    let mut ids: Vec<String> = Vec::new();
+    for (id, _) in experiment_specs(ExpCtx::quick()) {
+        let base = Machine::ALL
+            .iter()
+            .find_map(|m| id.strip_suffix(&format!("-{}", m.label())))
+            .unwrap_or(&id)
+            .to_string();
+        if !ids.contains(&base) {
+            ids.push(base);
+        }
+    }
+    ids
+}
+
+#[test]
+fn list_prints_the_registry_base_ids_in_order() {
+    let listed: Vec<String> = stdout_of(&["list"]).lines().map(String::from).collect();
+    assert_eq!(listed.len(), 22, "2 tables + 20 per-machine experiments");
+    assert_eq!(listed.first().map(String::as_str), Some("table1"));
+    assert_eq!(listed.last().map(String::as_str), Some("latency-hist"));
+    assert_eq!(listed, registry_base_ids());
+}
+
+/// A named experiment is the campaign filtered to that id: same tables,
+/// same order, same bytes.
+#[test]
+fn named_experiment_matches_filtered_campaign() {
+    for id in ["fig1", "table1", "e15"] {
+        assert_eq!(
+            stdout_of(&[id, "--quick", "--exact"]),
+            stdout_of(&["all", "--quick", "--exact", "--filter", id]),
+            "repro {id} differs from repro all --filter {id}"
+        );
+    }
+    assert_eq!(
+        stdout_of(&["fig1", "--quick", "--exact", "--machine", "knl"]),
+        stdout_of(&["all", "--quick", "--exact", "--filter", "fig1-knl"]),
+    );
+}
+
+#[test]
+fn unknown_experiment_lists_the_known_ids() {
+    let out = repro().arg("nosuch").output().unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nosuch"), "stderr should name the id: {err}");
+    for id in registry_base_ids() {
+        assert!(err.contains(&id), "stderr should list {id}: {err}");
+    }
+}
+
+/// `--machine` restricts the whole campaign, not only a named
+/// experiment: the machine-independent tables plus that machine's ids.
+#[test]
+fn machine_flag_restricts_the_campaign() {
+    let dir = tmp_dir("machine");
+    let out = repro()
+        .args(["all", "--quick", "--exact", "--machine", "knl", "--out"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut tables: Vec<String> = snapshot(&dir)
+        .into_keys()
+        .filter_map(|name| name.strip_suffix(".tsv").map(String::from))
+        .collect();
+    tables.sort();
+    let mut expected: Vec<String> = registry_base_ids()
+        .into_iter()
+        .map(|id| {
+            if id.starts_with("table") {
+                id
+            } else {
+                format!("{id}-knl")
+            }
+        })
+        .collect();
+    expected.sort();
+    assert_eq!(tables.len(), 22);
+    assert_eq!(tables, expected);
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -1499,8 +1499,13 @@ pub fn degraded_fabric(ctx: ExpCtx, machine: Machine) -> ExpResult {
 pub type ExpThunk = Box<dyn Fn() -> ExpResult + Send + Sync>;
 
 /// Every experiment as an (id, thunk) pair, in presentation order, with
-/// stable ids. The `repro` binary uses this directly so `--filter` and
-/// `--resume` can skip experiments without running them.
+/// stable ids: the one registry of experiments. Machine-specific ids
+/// carry a `-<machine>` suffix (`fig1-e5`); `table1` and `table2` are
+/// machine-independent. Callers run the thunks through [`run_guarded`]
+/// on [`crate::parallel::par_run`], so `--filter` and `--resume` can
+/// skip experiments without running them, a failing experiment yields
+/// its `Err` in place, and results come back in registry order at any
+/// job count.
 pub fn experiment_specs(ctx: ExpCtx) -> Vec<(String, ExpThunk)> {
     let mut specs: Vec<(String, ExpThunk)> = vec![
         ("table1".to_string(), Box::new(|| Ok(table1()))),
@@ -1636,34 +1641,6 @@ pub fn run_guarded(id: &str, thunk: &ExpThunk) -> ExpResult {
     }
 }
 
-/// Every experiment, in presentation order, with stable ids. A failing
-/// experiment — watchdog trip or panic — yields its `Err` in place
-/// while every other experiment still runs to completion.
-///
-/// Experiments run on the parallel executor (see [`crate::parallel`]):
-/// each (id, result) pair is produced by an independent task, and
-/// results are collected in registry order, so the output — and every
-/// table in it — is identical to a serial run.
-pub fn all_experiments(ctx: ExpCtx) -> Vec<(String, ExpResult)> {
-    all_experiments_timed(ctx)
-        .into_iter()
-        .map(|(id, t, _)| (id, t))
-        .collect()
-}
-
-/// Like [`all_experiments`], with each experiment's own wall-clock
-/// elapsed time (as seen by the task, so times of concurrently-running
-/// experiments overlap).
-pub fn all_experiments_timed(ctx: ExpCtx) -> Vec<(String, ExpResult, std::time::Duration)> {
-    let specs = experiment_specs(ctx);
-    crate::parallel::par_run(specs.len(), |i| {
-        let (id, thunk) = &specs[i];
-        let t0 = std::time::Instant::now();
-        let result = run_guarded(id, thunk);
-        (id.clone(), result, t0.elapsed())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1790,16 +1767,6 @@ mod tests {
         // Latency falls once contention is diluted.
         let lat = t.column_f64("latency_cycles").unwrap();
         assert!(lat.last().unwrap() < lat.first().unwrap(), "{lat:?}");
-    }
-
-    #[test]
-    fn all_experiments_quick_runs() {
-        let all = all_experiments(ExpCtx::quick());
-        assert_eq!(all.len(), 2 + 2 * 20);
-        for (id, r) in &all {
-            let t = r.as_ref().unwrap_or_else(|e| panic!("{id} failed: {e}"));
-            assert!(!t.rows.is_empty(), "{id} produced no rows");
-        }
     }
 
     #[test]

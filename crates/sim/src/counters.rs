@@ -3,8 +3,8 @@
 //! The parallel campaign executor runs many [`Engine`](crate::Engine)s
 //! concurrently; each engine folds its per-run event count into this
 //! global tally when `run()` returns. The repro driver reads it to
-//! report aggregate events/sec in `--timings` output and
-//! `BENCH_repro.json`.
+//! report aggregate events/sec in `--timings` output, and `perfbench`
+//! reads it for `sim.counters.*`.
 //!
 //! Relaxed ordering is sufficient: the counter is monotonic bookkeeping,
 //! never used for synchronisation, and reads happen after the worker

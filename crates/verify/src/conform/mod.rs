@@ -20,7 +20,7 @@
 //!   map is partial — a line touched by an untracked core has no
 //!   abstract image, and the replayer reports that instead of guessing;
 //! * [`replay_recorder`] replays each line's event stream through the
-//!   model's transition relation ([`Checker::successors`]), maintaining
+//!   model's transition relation (`Checker::successors`), maintaining
 //!   a *frontier* of candidate abstract states. The frontier is needed
 //!   because the model carries ghost state the engine doesn't expose
 //!   (per-copy freshness, memory freshness); all candidates agree on
@@ -42,8 +42,8 @@
 //!
 //! This is *per-run* refinement: it certifies the transitions a given
 //! campaign actually took, not all reachable engine behaviour — which
-//! is why [`coverage`] reports which verified-table rows the campaign
-//! exercised, and CI gates on that coverage not regressing.
+//! is why the `coverage` module reports which verified-table rows the
+//! campaign exercised, and CI gates on that coverage not regressing.
 
 mod coverage;
 

@@ -160,12 +160,16 @@ fn cas_waste_grows_with_contention() {
 }
 
 /// The experiment registry produces every table with sane content in
-/// quick mode (the repro binary's path).
+/// quick mode, run the way the repro binary runs it: guarded thunks on
+/// the parallel executor.
 #[test]
 fn experiment_registry_complete() {
-    let all = experiments::all_experiments(ExpCtx::quick());
-    assert_eq!(all.len(), 42, "2 tables + 20 experiments x 2 machines");
-    for (id, r) in &all {
+    let specs = experiments::experiment_specs(ExpCtx::quick());
+    assert_eq!(specs.len(), 42, "2 tables + 20 experiments x 2 machines");
+    let all = bounce::harness::par_run(specs.len(), |i| {
+        experiments::run_guarded(&specs[i].0, &specs[i].1)
+    });
+    for ((id, _), r) in specs.iter().zip(&all) {
         let t = r.as_ref().unwrap_or_else(|e| panic!("{id} failed: {e}"));
         assert!(!t.rows.is_empty(), "{id} empty");
         assert!(!t.headers.is_empty(), "{id} lacks headers");
