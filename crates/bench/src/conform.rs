@@ -246,14 +246,15 @@ fn extract_string_field(content: &str, key: &str) -> Option<String> {
     Some(content[start..end].to_string())
 }
 
+/// `None` unless every protocol has a block: only a canonical run
+/// writes the baseline, and it always covers all three, so a missing
+/// block means the file is damaged.
 fn parse_baseline(content: &str) -> Option<Baseline> {
     let fabric = extract_string_field(content, "fabric")?;
     let mut rows = Vec::new();
     for kind in CoherenceKind::ALL {
         let pat = format!("\"{}\": [", kind.label());
-        let Some(start) = content.find(&pat) else {
-            continue;
-        };
+        let start = content.find(&pat)?;
         let body_start = start + pat.len();
         let body_end = content[body_start..].find(']')? + body_start;
         let keys: Vec<String> = content[body_start..body_end]
@@ -364,10 +365,11 @@ fn gate_and_write(
         Some(base) if base.fabric == fabric_label => {
             let mut regressed = false;
             for r in reports {
-                let Some((_, keys)) = base.rows.iter().find(|(p, _)| *p == r.protocol.label())
-                else {
-                    continue;
-                };
+                let (_, keys) = base
+                    .rows
+                    .iter()
+                    .find(|(p, _)| *p == r.protocol.label())
+                    .expect("a parsed baseline has every protocol");
                 let missing = r.missing_from(keys);
                 if missing.is_empty() {
                     println!(
@@ -411,4 +413,73 @@ fn gate_and_write(
         println!("coverage written to {}", path.display());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bounce_verify::{ArgClass, Row};
+
+    const ROWS: [Row; 3] = [
+        Row::ReadInstall,
+        Row::WriteSource {
+            owner: ArgClass::Other,
+            forward: ArgClass::None,
+        },
+        Row::Nack { excl: true },
+    ];
+
+    fn reports(rows: &[Row]) -> Vec<CoverageReport> {
+        CoherenceKind::ALL
+            .iter()
+            .map(|&k| CoverageReport::new(k, rows.to_vec()))
+            .collect()
+    }
+
+    /// Run the (non-canonical, so read-only) gate of `now` against a
+    /// baseline file holding `baseline`.
+    fn gate(name: &str, baseline: &str, now: &[CoverageReport]) -> Result<(), String> {
+        let dir = std::env::temp_dir().join(format!("conform-gate-{name}-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(COVERAGE_FILE);
+        fs::write(&path, baseline).unwrap();
+        let result = gate_and_write(&path, now, true, DEFAULT_FABRIC, false);
+        fs::remove_dir_all(&dir).unwrap();
+        result
+    }
+
+    #[test]
+    fn coverage_json_round_trips() {
+        let reps = reports(&ROWS);
+        let base = parse_baseline(&coverage_json(true, DEFAULT_FABRIC, &reps)).unwrap();
+        assert_eq!(base.fabric, DEFAULT_FABRIC);
+        let expected: Vec<(String, Vec<String>)> = reps
+            .iter()
+            .map(|r| (r.protocol.label().to_string(), r.hit_keys()))
+            .collect();
+        assert_eq!(base.rows, expected);
+    }
+
+    #[test]
+    fn gate_rejects_a_lost_row() {
+        let baseline = coverage_json(true, DEFAULT_FABRIC, &reports(&ROWS));
+        let err = gate("lost", &baseline, &reports(&ROWS[..2])).unwrap_err();
+        assert!(err.contains("dropped below"), "{err}");
+    }
+
+    #[test]
+    fn gate_accepts_a_superset() {
+        let baseline = coverage_json(true, DEFAULT_FABRIC, &reports(&ROWS[..2]));
+        assert_eq!(gate("superset", &baseline, &reports(&ROWS)), Ok(()));
+    }
+
+    #[test]
+    fn gate_rejects_a_missing_protocol_block() {
+        // A canonical run always writes all three protocols, so a
+        // baseline without one is damaged, not a licence to skip it.
+        let full = reports(&ROWS);
+        let baseline = coverage_json(true, DEFAULT_FABRIC, &full[1..]);
+        let err = gate("missing", &baseline, &full).unwrap_err();
+        assert!(err.contains("could not parse coverage baseline"), "{err}");
+    }
 }

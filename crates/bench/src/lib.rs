@@ -4,7 +4,6 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "conform")]
 pub mod conform;
 pub mod manifest;
 

@@ -1,27 +1,27 @@
 //! Conformance trace recorder: the engine-side half of verification
-//! pass 5 (see `crates/verify/src/conform/`).
+//! pass 5 (see `crates/verify/src/conform/`), and the engine's only
+//! observation hook.
 //!
-//! When a [`ConformRecorder`] is attached to an [`Engine`](crate::Engine)
-//! (requires the `conform-trace` cargo feature), the engine emits one
-//! [`ConformEvent`] at every coherence-observable transition of every
-//! tracked line: a request joining a directory queue, a fabric NACK, a
-//! service departing (invalidations/demotions at the peers), a service
-//! completing (the install at the requester), a silent E→M write hit,
-//! and a capacity eviction. Each event carries a *concrete* snapshot of
-//! the line's directory record and the tracked cores' cache states
-//! before and after the transition — raw core ids and line states, no
-//! abstraction. The abstraction function that maps these snapshots onto
-//! the verified model checker's states lives in the verify crate, next
-//! to the transition relation it targets.
+//! When a [`ConformRecorder`] is attached to an [`Engine`](crate::Engine),
+//! the engine emits one [`ConformEvent`] at every coherence-observable
+//! transition of every line: a request joining a directory queue, a
+//! fabric NACK, a service departing (invalidations/demotions at the
+//! peers), a service completing (the install at the requester), a
+//! silent E→M write hit, and a capacity eviction. Each event carries a
+//! *concrete* snapshot of the line's directory record and the tracked
+//! cores' cache states before and after the transition — raw core ids
+//! and line states, no abstraction. The abstraction function that maps
+//! these snapshots onto the verified model checker's states lives in
+//! the verify crate, next to the transition relation it targets.
 //!
-//! The types here are deliberately *not* feature-gated so that the
-//! verify crate can name them unconditionally; only the engine's
-//! recorder field and hooks are behind `conform-trace`. With the feature
-//! off the recorder cannot be attached and the engine contains no trace
-//! code at all; with the feature on but no recorder attached every hook
-//! is a single `Option` test on a cold path. Neither arm perturbs
-//! simulation state, so campaign output is byte-identical in all three
-//! configurations (gated in CI).
+//! [`ConformEvent::bounce_from`] picks out the exclusive-ownership
+//! transfers ("bounces"), the paper's unit of cost;
+//! `examples/trace_bounces.rs` prints the bounce chain that way.
+//!
+//! The recorder is inert both ways. Detached, every hook is a single
+//! `Option` test on a cold path. Attached, it only reads engine state,
+//! so reports and memory are identical with and without it (the verify
+//! crate's `recorder_is_inert` test).
 
 use crate::cache::{LineId, LineState};
 
@@ -125,6 +125,18 @@ pub struct ConformEvent {
     pub post: DirSnapshot,
 }
 
+impl ConformEvent {
+    /// The core that lost exclusive ownership, if this event is a
+    /// bounce: a GetM service start whose pre-snapshot owner is another
+    /// core (the departure transition runs between the two snapshots).
+    pub fn bounce_from(&self) -> Option<u32> {
+        match self.kind {
+            ConformKind::ServiceStart { excl: true } => self.pre.owner.filter(|&o| o != self.core),
+            _ => None,
+        }
+    }
+}
+
 /// An ordered capture of every coherence transition of a run, plus the
 /// core mapping needed to abstract it.
 ///
@@ -150,11 +162,6 @@ impl ConformRecorder {
             tracked,
             events: Vec::new(),
         }
-    }
-
-    /// Append one event.
-    pub fn record(&mut self, ev: ConformEvent) {
-        self.events.push(ev);
     }
 
     /// The abstract index of a concrete core, if tracked.

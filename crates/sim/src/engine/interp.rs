@@ -6,9 +6,9 @@
 
 use super::{CurOp, Engine, Ev, Status, MAX_STEPS_PER_RESUME};
 use crate::cache::{LineId, LineState, WordAddr};
+use crate::conform::ConformKind;
 use crate::directory::Request;
 use crate::program::{resolve, SpinPred, Step};
-use crate::trace::TraceEvent;
 use bounce_atomics::{OpOutcome, Primitive};
 
 impl Engine {
@@ -175,24 +175,11 @@ impl Engine {
         self.energy.ops_j += self.cfg.params.energy.op_nj * 1e-9;
         if satisfied {
             // --- hit ---
-            self.trace(|at| TraceEvent::Hit {
-                at,
-                thread: tid,
-                line,
-            });
             self.caches[core].touch(line);
             if prim.needs_exclusive() && state == LineState::Exclusive {
-                #[cfg(feature = "conform-trace")]
                 let conform_pre = self.conform_pre(idx);
                 self.caches[core].set_state(line, LineState::Modified);
-                #[cfg(feature = "conform-trace")]
-                self.conform_push(
-                    idx,
-                    Some(tid),
-                    core,
-                    crate::conform::ConformKind::WriteHit,
-                    conform_pre,
-                );
+                self.conform_push(idx, Some(tid), core, ConformKind::WriteHit, conform_pre);
             }
             self.energy.cache_j += self.cfg.params.energy.l1_nj * 1e-9;
             if spin.is_some() {
@@ -216,13 +203,6 @@ impl Engine {
             self.schedule(done, Ev::OpComplete(tid));
         } else {
             // --- miss: request to the home directory ---
-            let excl = prim.needs_exclusive();
-            self.trace(|at| TraceEvent::Miss {
-                at,
-                thread: tid,
-                line,
-                excl,
-            });
             if spin.is_some() {
                 self.bump_spin_loads(tid);
             } else {

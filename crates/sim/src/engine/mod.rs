@@ -38,6 +38,7 @@
 
 use crate::cache::{LineId, LineState, SetAssocCache, WordAddr};
 use crate::config::{RunLength, SimConfig};
+use crate::conform::{ConformEvent, ConformKind, ConformRecorder, DirSnapshot};
 use crate::directory::{Directory, Request};
 use crate::equeue::CalendarQueue;
 use crate::error::{LineDiag, SimError, StuckThread};
@@ -45,7 +46,6 @@ use crate::faults::{FabricState, FaultState};
 use crate::program::{Program, SpinPred, Step, NUM_REGS};
 use crate::protocol::CoherenceKind;
 use crate::report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};
-use crate::trace::{Trace, TraceEvent};
 use bounce_atomics::{OpOutcome, Primitive};
 use bounce_topo::{HwThreadId, MachineTopology, TileId};
 use rand::rngs::StdRng;
@@ -226,12 +226,10 @@ pub struct Engine {
     retry_storm: Option<Box<SimError>>,
     energy: EnergyBreakdown,
     queue_depth: crate::report::LatencyStats,
-    trace: Option<Trace>,
-    /// Conformance trace recorder (verification pass 5). Only exists
-    /// under the `conform-trace` feature; `None` keeps every hook to a
-    /// single cold-path branch and simulation state untouched.
-    #[cfg(feature = "conform-trace")]
-    conform: Option<crate::conform::ConformRecorder>,
+    /// Conformance trace recorder (verification pass 5), the engine's
+    /// only observation hook. `None` keeps every hook to a single
+    /// cold-path branch; an attached recorder only reads engine state.
+    conform: Option<ConformRecorder>,
 }
 
 impl Engine {
@@ -315,42 +313,20 @@ impl Engine {
             retry_storm: None,
             energy: EnergyBreakdown::default(),
             queue_depth: crate::report::LatencyStats::default(),
-            trace: None,
-            #[cfg(feature = "conform-trace")]
             conform: None,
             cfg,
-        }
-    }
-
-    /// Enable event tracing into a bounded ring buffer.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = Some(trace);
-    }
-
-    /// Take the trace out (typically after `run`).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
-    #[inline]
-    fn trace(&mut self, make: impl FnOnce(u64) -> TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            let ev = make(self.now);
-            t.record(ev);
         }
     }
 
     /// Attach a conformance trace recorder (verification pass 5). Every
     /// coherence transition of every line is recorded until
     /// [`Engine::take_conform_recorder`] detaches it.
-    #[cfg(feature = "conform-trace")]
-    pub fn set_conform_recorder(&mut self, rec: crate::conform::ConformRecorder) {
+    pub fn set_conform_recorder(&mut self, rec: ConformRecorder) {
         self.conform = Some(rec);
     }
 
     /// Detach the conformance recorder (typically after `run`).
-    #[cfg(feature = "conform-trace")]
-    pub fn take_conform_recorder(&mut self) -> Option<crate::conform::ConformRecorder> {
+    pub fn take_conform_recorder(&mut self) -> Option<ConformRecorder> {
         self.conform.take()
     }
 
@@ -358,12 +334,7 @@ impl Engine {
     /// optional `patch` substitutes a cache state for one core — used
     /// for the eviction pre-snapshot, where the victim has already left
     /// the cache by the time the eviction is observable.
-    #[cfg(feature = "conform-trace")]
-    fn conform_snapshot(
-        &self,
-        idx: u32,
-        patch: Option<(usize, LineState)>,
-    ) -> crate::conform::DirSnapshot {
+    fn conform_snapshot(&self, idx: u32, patch: Option<(usize, LineState)>) -> DirSnapshot {
         let rec = self.conform.as_ref().expect("recorder attached");
         let e = self.dir.get_at(idx);
         let line = self.dir.line_at(idx);
@@ -375,7 +346,7 @@ impl Engine {
                 _ => self.caches[c as usize].state(line),
             })
             .collect();
-        crate::conform::DirSnapshot {
+        DirSnapshot {
             owner: e.owner.map(|o| o as u32),
             sharers: e.sharers.iter().map(|s| s as u32).collect(),
             forward: e.forward.map(|f| f as u32),
@@ -386,42 +357,26 @@ impl Engine {
     /// Pre-transition snapshot of line `idx`, or `None` when no recorder
     /// is attached (so instrumentation sites pay one branch and nothing
     /// else).
-    #[cfg(feature = "conform-trace")]
-    pub(super) fn conform_pre(&self, idx: u32) -> Option<crate::conform::DirSnapshot> {
+    pub(super) fn conform_pre(&self, idx: u32) -> Option<DirSnapshot> {
         self.conform
             .as_ref()
             .map(|_| self.conform_snapshot(idx, None))
     }
 
-    /// Like [`Engine::conform_pre`] with a cache-state patch for one
-    /// core (see [`Engine::conform_snapshot`]).
-    #[cfg(feature = "conform-trace")]
-    pub(super) fn conform_pre_patched(
-        &self,
-        idx: u32,
-        core: usize,
-        state: LineState,
-    ) -> Option<crate::conform::DirSnapshot> {
-        self.conform
-            .as_ref()
-            .map(|_| self.conform_snapshot(idx, Some((core, state))))
-    }
-
     /// Record one conformance event: `pre` was captured by
     /// [`Engine::conform_pre`] before the transition, the post snapshot
     /// is taken now. No-op when `pre` is `None` (recorder detached).
-    #[cfg(feature = "conform-trace")]
     pub(super) fn conform_push(
         &mut self,
         idx: u32,
         thread: Option<usize>,
         core: usize,
-        kind: crate::conform::ConformKind,
-        pre: Option<crate::conform::DirSnapshot>,
+        kind: ConformKind,
+        pre: Option<DirSnapshot>,
     ) {
         let Some(pre) = pre else { return };
         let post = self.conform_snapshot(idx, None);
-        let ev = crate::conform::ConformEvent {
+        let ev = ConformEvent {
             at: self.now,
             line: self.dir.line_at(idx),
             core: core as u32,
@@ -431,9 +386,11 @@ impl Engine {
             pre,
             post,
         };
-        if let Some(r) = self.conform.as_mut() {
-            r.record(ev);
-        }
+        self.conform
+            .as_mut()
+            .expect("recorder attached")
+            .events
+            .push(ev);
     }
 
     /// Pin a simulated thread running `program` to hardware thread `hw`.

@@ -12,9 +12,9 @@
 
 use super::{Engine, Ev};
 use crate::cache::{LineId, LineState};
+use crate::conform::ConformKind;
 use crate::directory::{word_cores, Request};
 use crate::protocol::{DataSource, KindDispatch};
-use crate::trace::TraceEvent;
 use bounce_topo::TileId;
 
 impl Engine {
@@ -23,24 +23,17 @@ impl Engine {
         // A re-arrival after a NACK is not a new abstract request: it
         // was recorded as queued on its first arrival and has stayed
         // queued (absorbing NACKs) ever since.
-        #[cfg(feature = "conform-trace")]
         let first_arrival = self.retry_count.get(req.thread).is_none_or(|&c| c == 0);
         if self.fabric.is_some() && !self.fabric_admit(idx, &req) {
             return;
         }
-        #[cfg(feature = "conform-trace")]
-        let pre = if first_arrival {
-            self.conform_pre(idx)
-        } else {
-            None
-        };
+        let pre = first_arrival.then(|| self.conform_pre(idx)).flatten();
         self.dir.entry_at(idx).enqueue(req);
-        #[cfg(feature = "conform-trace")]
         self.conform_push(
             idx,
             Some(req.thread),
             req.core,
-            crate::conform::ConformKind::Queue { excl: req.excl },
+            ConformKind::Queue { excl: req.excl },
             pre,
         );
         self.pump(idx);
@@ -69,14 +62,13 @@ impl Engine {
         // First refusal of a fresh transaction: abstractly the request
         // joins the queue *and then* gets NACKed — record the queue step
         // before the NACK so the trace refines the model's order.
-        #[cfg(feature = "conform-trace")]
         if self.retry_count[tid] == 0 {
             let pre = self.conform_pre(idx);
             self.conform_push(
                 idx,
                 Some(tid),
                 req.core,
-                crate::conform::ConformKind::Queue { excl: req.excl },
+                ConformKind::Queue { excl: req.excl },
                 pre,
             );
         }
@@ -85,14 +77,13 @@ impl Engine {
         }
         self.retry_count[tid] += 1;
         let attempt = self.retry_count[tid];
-        #[cfg(feature = "conform-trace")]
         {
             let pre = self.conform_pre(idx);
             self.conform_push(
                 idx,
                 Some(tid),
                 req.core,
-                crate::conform::ConformKind::Nack {
+                ConformKind::Nack {
                     excl: req.excl,
                     attempt,
                 },
@@ -110,13 +101,6 @@ impl Engine {
         if self.now >= self.cfg.warmup_cycles {
             self.threads[tid].report.retries += 1;
         }
-        let line = self.dir.line_at(idx);
-        self.trace(|at| TraceEvent::Nack {
-            at,
-            thread: tid,
-            line,
-            attempt,
-        });
         // The NACK reply travels home→requester, then the re-sent
         // request travels requester→home after the backoff wait; both
         // legs pay wire latency and hop energy like any other message.
@@ -158,13 +142,6 @@ impl Engine {
                 }
                 (req, queue_len)
             };
-            let line = self.dir.line_at(idx);
-            self.trace(|at| TraceEvent::ServiceStart {
-                at,
-                thread: req.thread,
-                line,
-                queue_len,
-            });
             if self.now >= self.cfg.warmup_cycles {
                 self.queue_depth.record(queue_len as u64);
             }
@@ -187,15 +164,13 @@ impl Engine {
             // free-riding hits for the whole transfer and makes
             // saturated contended throughput ≈ 1 op per ownership
             // transfer, as the paper's model assumes.)
-            #[cfg(feature = "conform-trace")]
             let conform_pre = self.conform_pre(idx);
             self.depart_line(idx, &req);
-            #[cfg(feature = "conform-trace")]
             self.conform_push(
                 idx,
                 Some(req.thread),
                 req.core,
-                crate::conform::ConformKind::ServiceStart { excl: req.excl },
+                ConformKind::ServiceStart { excl: req.excl },
                 conform_pre,
             );
             let t = self.now + latency;
@@ -226,13 +201,6 @@ impl Engine {
                         .topo
                         .comm_domain(self.threads[tid].hw, self.topo.cores[o].threads[0]);
                     self.transfers_by_domain[d.index()] += 1;
-                    self.trace(|at| TraceEvent::Bounce {
-                        at,
-                        from_core: o,
-                        to_thread: tid,
-                        line,
-                        domain: d,
-                    });
                     self.caches[o].invalidate(line);
                     self.invalidations += 1;
                 }
@@ -385,7 +353,6 @@ impl Engine {
             self.bank_pending[bank] = self.bank_pending[bank].saturating_sub(1);
         }
         let tid = req.thread;
-        #[cfg(feature = "conform-trace")]
         let conform_pre = self.conform_pre(idx);
         // --- arrival transitions (departures already ran at service
         //     start, see `depart_line`) ---
@@ -416,12 +383,11 @@ impl Engine {
             }
             self.install(req.core, line, state);
         }
-        #[cfg(feature = "conform-trace")]
         self.conform_push(
             idx,
             Some(tid),
             req.core,
-            crate::conform::ConformKind::ServiceDone { excl: req.excl },
+            ConformKind::ServiceDone { excl: req.excl },
             conform_pre,
         );
         // Each transaction must leave the directory entry in a state the
@@ -456,11 +422,14 @@ impl Engine {
             // The victim left the cache inside `install` above, so the
             // eviction pre-snapshot patches its state back in. A victim
             // was necessarily installed once, hence interned.
-            #[cfg(feature = "conform-trace")]
-            let conform_victim = self
-                .dir
-                .lookup(evicted)
-                .map(|vidx| (vidx, self.conform_pre_patched(vidx, core, evicted_state)));
+            let conform_victim = self.dir.lookup(evicted).map(|vidx| {
+                let patch = Some((core, evicted_state));
+                let pre = self
+                    .conform
+                    .as_ref()
+                    .map(|_| self.conform_snapshot(vidx, patch));
+                (vidx, pre)
+            });
             match evicted_state {
                 LineState::Modified | LineState::Owned => {
                     // Dirty writeback to memory (an Owned copy still owes
@@ -474,13 +443,12 @@ impl Engine {
                 LineState::Shared | LineState::Forward => self.dir.evict_sharer(evicted, core),
                 LineState::Invalid => {}
             }
-            #[cfg(feature = "conform-trace")]
             if let Some((vidx, pre)) = conform_victim {
                 self.conform_push(
                     vidx,
                     None,
                     core,
-                    crate::conform::ConformKind::Evict {
+                    ConformKind::Evict {
                         state: evicted_state,
                     },
                     pre,

@@ -50,7 +50,6 @@ pub mod faults;
 pub mod program;
 pub mod protocol;
 pub mod report;
-pub mod trace;
 
 pub use analyze::{analyze_program, analyze_steps, analyze_workload, AnalysisError, Diagnostic};
 pub use cache::{LineId, LineState, SetAssocCache, WordAddr};
@@ -66,4 +65,3 @@ pub use faults::{FabricFaultConfig, FaultConfig};
 pub use program::{Operand, Program, ProgramError, SpinPred, Step};
 pub use protocol::{CoherenceKind, CoherenceProtocol, DataSource};
 pub use report::{EnergyBreakdown, RunLengthSummary, SimReport, ThreadReport};
-pub use trace::{Trace, TraceEvent};

@@ -11,7 +11,7 @@
 //!
 //! The pieces:
 //!
-//! * the engine (built with the `conform-trace` feature) records one
+//! * the engine, with a recorder attached, records one
 //!   [`ConformEvent`] per transition with *concrete* pre/post snapshots
 //!   — see `bounce_sim::conform`;
 //! * [`abstract_snapshot`] is the **abstraction function**: it maps a

@@ -30,8 +30,8 @@
 //!    freedom, deadlock freedom, and linearizability. Run via
 //!    `cargo run -p bounce-verify --bin schedcheck`.
 //! 5. **Conformance** ([`conform`]): trace refinement of the
-//!    production engine against pass 1's verified model — the engine
-//!    (built with `conform-trace`) records every coherence transition
+//!    production engine against pass 1's verified model — the engine,
+//!    with a recorder attached, records every coherence transition
 //!    with concrete pre/post snapshots, an explicit abstraction
 //!    function maps them onto model states, and the replayer checks
 //!    each step is a transition the verified relation permits,

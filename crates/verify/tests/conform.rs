@@ -1,7 +1,7 @@
 //! Conformance-pass (pass 5) integration tests: live engine traces
 //! replayed through the verified model.
 //!
-//! Three guarantees beyond the `repro conform` campaign itself:
+//! Four guarantees beyond the `repro conform` campaign itself:
 //!
 //! * **totality** — over randomly generated quick-campaign-style
 //!   scenarios, every concrete snapshot the engine records has an
@@ -12,18 +12,21 @@
 //!   relabeled event must all surface as refinement violations, or the
 //!   pass could never catch a real recorder bypass;
 //! * **inertness** — attaching the recorder does not perturb the
-//!   simulation: reports and memory are identical with and without it.
-//!   (The compiled-out arm of the same guarantee — byte-identical
-//!   campaign output under `--no-default-features` — lives in CI.)
+//!   simulation: reports and memory are identical with and without it,
+//!   on a fault-free machine and under a NACKing fabric;
+//! * **completeness** — the recorder sees every ownership transfer: the
+//!   bounces derived from its events match the engine's own per-domain
+//!   transfer counts.
 
 use bounce_atomics::Primitive;
 use bounce_sim::conform::{ConformKind, ConformRecorder};
 use bounce_sim::program::builders;
 use bounce_sim::protocol::protocol_for;
 use bounce_sim::{
-    CoherenceKind, Engine, Program, RunLength, SimConfig, SimParams, SimReport, WordAddr,
+    CoherenceKind, Engine, FabricFaultConfig, HomePolicy, Program, RunLength, SimConfig, SimParams,
+    SimReport, WordAddr,
 };
-use bounce_topo::presets;
+use bounce_topo::{presets, Domain, MachineTopology, Placement};
 use bounce_verify::conform::{replay_recorder, ConformError};
 use proptest::prelude::*;
 
@@ -38,10 +41,23 @@ fn run_traced(
     let topo = presets::tiny_test_machine();
     let mut params = SimParams::for_machine(&topo);
     params.protocol = proto;
+    run_on(&topo, params, programs, duration, record)
+}
+
+/// Run `programs` (one per core, abstract order) on `topo` for a fixed
+/// `duration`, returning the report, the captured trace and the first
+/// word of lines 0..4.
+fn run_on(
+    topo: &MachineTopology,
+    mut params: SimParams,
+    programs: Vec<Program>,
+    duration: u64,
+    record: bool,
+) -> (SimReport, Option<ConformRecorder>, Vec<u64>) {
     params.run_length = RunLength::Fixed { cycles: 0 };
     let cfg = SimConfig::new(params, duration);
     let n = programs.len();
-    let mut eng = Engine::new(&topo, cfg);
+    let mut eng = Engine::new(topo, cfg);
     for (i, p) in programs.into_iter().enumerate() {
         eng.add_thread(topo.cores[i].threads[0], p);
     }
@@ -199,23 +215,79 @@ fn config_errors_are_reported() {
 #[test]
 fn recorder_is_inert() {
     // The same scenario with and without the recorder attached must
-    // produce the same simulation: identical report and memory. This is
-    // the compiled-in-but-disabled arm of the inertness guarantee.
+    // produce the same simulation: identical report and memory. The
+    // recorder only reads engine state; a detached one costs a `None`
+    // branch per hook. Two inputs: the fault-free tiny machine, and
+    // `repro conform`'s `nack-storm` setup (Xeon E5 under the `severe`
+    // fabric preset), which drives the Queue-then-NACK hooks of
+    // `fabric_admit`.
     let a = WordAddr::of_line(0);
-    let mk = || {
+    let mk = |work: [u64; 3]| {
         vec![
-            builders::op_loop(Primitive::Faa, a, 20),
-            builders::cas_increment_loop(a, 10, 35),
-            builders::op_loop(Primitive::Load, a, 15),
+            builders::op_loop(Primitive::Faa, a, work[0]),
+            builders::cas_increment_loop(a, 10, work[1]),
+            builders::op_loop(Primitive::Load, a, work[2]),
         ]
     };
-    let (with, rec, words_with) = run_traced(CoherenceKind::Mesif, mk(), 20_000, true);
-    let (without, none, words_without) = run_traced(CoherenceKind::Mesif, mk(), 20_000, false);
-    assert!(rec.is_some_and(|r| !r.events.is_empty()) && none.is_none());
-    assert_eq!(words_with, words_without, "memory identical");
-    assert_eq!(
-        format!("{with:?}"),
-        format!("{without:?}"),
-        "reports identical"
+    let tiny = presets::tiny_test_machine();
+    let e5 = presets::xeon_e5_2695_v4();
+    let mut severe = SimParams::for_machine(&e5);
+    severe.fabric = FabricFaultConfig::from_label("severe").expect("known preset");
+    let fault_free = (&tiny, SimParams::for_machine(&tiny), [20, 35, 15], 20_000);
+    for (topo, params, work, duration) in [fault_free, (&e5, severe, [25, 20, 15], 30_000)] {
+        let name = format!("{} fabric {}", topo.name, params.fabric.label());
+        let faulted = params.fabric != FabricFaultConfig::none();
+        let (with, rec, words_with) = run_on(topo, params.clone(), mk(work), duration, true);
+        let (without, none, words_without) = run_on(topo, params, mk(work), duration, false);
+        let rec = rec.expect("recorder attached");
+        assert!(!rec.events.is_empty() && none.is_none(), "{name}");
+        let nacks = rec
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, ConformKind::Nack { .. }));
+        assert_eq!(nacks, faulted, "{name}: NACKs exactly under faults");
+        assert_eq!(words_with, words_without, "{name}: memory identical");
+        assert_eq!(
+            format!("{with:?}"),
+            format!("{without:?}"),
+            "{name}: reports identical"
+        );
+    }
+}
+
+#[test]
+fn recorder_sees_every_bounce() {
+    // The `trace_bounces` example's setup: four FAA threads scattered
+    // over a dual-socket machine, one home directory.
+    let topo = presets::dual_socket_small();
+    let mut params = SimParams::e5();
+    params.home_policy = HomePolicy::Fixed(0);
+    let mut eng = Engine::new(&topo, SimConfig::new(params, 40_000));
+    let line = WordAddr::of_line(0x4000);
+    let hws = Placement::Scattered.assign(&topo, 4);
+    for &hw in &hws {
+        eng.add_thread(hw, builders::op_loop(Primitive::Faa, line, 0));
+    }
+    let tracked = hws.iter().map(|&hw| topo.core_of(hw).id.0 as u32).collect();
+    eng.set_conform_recorder(ConformRecorder::new(tracked));
+    let report = eng.run();
+    let rec = eng.take_conform_recorder().expect("recorder attached");
+    // Count per domain as `depart_line` does, which bumps
+    // `transfers_by_domain` on every ownership transfer.
+    let mut bounces = [0u64; 5];
+    for ev in &rec.events {
+        if let Some(from) = ev.bounce_from() {
+            let d = topo.comm_domain(
+                topo.cores[from as usize].threads[0],
+                topo.cores[ev.core as usize].threads[0],
+            );
+            bounces[d.index()] += 1;
+        }
+    }
+    assert!(report.total_transfers() > 100, "the run bounces the line");
+    assert!(
+        bounces[Domain::CrossSocket.index()] > 0,
+        "scattered threads cross sockets"
     );
+    assert_eq!(bounces, report.transfers_by_domain);
 }
