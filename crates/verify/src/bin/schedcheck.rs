@@ -9,11 +9,13 @@
 //! ```
 //!
 //! Exits nonzero on any violation, on a capped (inconclusive)
-//! exploration, and — under `--mutate` — when a scenario has no
-//! mutation site whose weakening the checker detects (which would mean
-//! the clean pass proves nothing).
+//! exploration, and — under `--mutate` — when a scenario breaks the
+//! benign-list contract of `scenarios::Entry::sweep`: an undetected
+//! weakening that is not listed benign, a stale benign entry, or no
+//! detected weakening at all (which would mean the clean pass proves
+//! nothing).
 
-use bounce_verify::exec::{render_report, scenarios, ExploreOpts, Mutation};
+use bounce_verify::exec::{render_report, scenarios, ExploreOpts};
 use std::time::Instant;
 
 fn main() {
@@ -65,74 +67,30 @@ fn main() {
         if !mutate {
             continue;
         }
-        // Mutation sweep: weaken each discovered ordering site to
-        // Relaxed. Every site outside the scenario's curated benign
-        // list must be caught, and every benign entry must match a
-        // silent site (stale-list detection) — the same contract the
-        // self-tests enforce.
-        let mut caught = 0usize;
-        let mut silent = Vec::new();
-        for &(loc, kind) in &report.sites {
-            let mopts = ExploreOpts {
-                mutation: Some(Mutation { loc, kind }),
-                ..ExploreOpts::default()
-            };
-            let mreport = (entry.run)(&mopts);
-            if mreport.violation.is_some() {
-                caught += 1;
-            } else if mreport.capped {
-                println!("  mutate {loc} {kind:?}: CAPPED (inconclusive)");
-                failed = true;
-            } else {
-                silent.push((loc, kind));
-            }
-        }
-        println!(
-            "  mutate: {}/{} weakened sites detected{}",
-            caught,
-            report.sites.len(),
-            if silent.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    " (benign: {})",
-                    silent
-                        .iter()
-                        .map(|(l, k)| format!("{l} {k:?}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            }
-        );
-        for &(loc, kind) in &silent {
-            if !entry
-                .benign
-                .iter()
-                .any(|&(l, k)| l == loc.to_string() && k == kind)
-            {
-                eprintln!(
-                    "  {}: weakening {loc} {kind:?} went undetected and is not in the \
-                     curated benign list",
-                    entry.name
+        match entry.sweep(&report) {
+            Ok(sweep) => {
+                let benign: Vec<String> = sweep
+                    .silent
+                    .iter()
+                    .map(|(l, k)| format!("{l} {k:?}"))
+                    .collect();
+                println!(
+                    "  mutate: {}/{} weakened sites detected{}",
+                    sweep.caught.len(),
+                    report.sites.len(),
+                    if benign.is_empty() {
+                        String::new()
+                    } else {
+                        format!(" (benign: {})", benign.join(", "))
+                    }
                 );
+            }
+            Err(breaches) => {
+                for breach in breaches {
+                    eprintln!("  {}: {breach}", entry.name);
+                }
                 failed = true;
             }
-        }
-        for &(l, k) in entry.benign {
-            if !silent
-                .iter()
-                .any(|&(sl, sk)| sl.to_string() == l && sk == k)
-            {
-                eprintln!("  {}: stale benign entry ({l}, {k:?})", entry.name);
-                failed = true;
-            }
-        }
-        if caught == 0 && entry.benign.len() != report.sites.len() {
-            eprintln!(
-                "  {}: no weakened ordering was detected — scenario is vacuous",
-                entry.name
-            );
-            failed = true;
         }
     }
     if failed {

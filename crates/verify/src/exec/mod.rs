@@ -18,6 +18,11 @@
 //!   release);
 //! * scenario-specific finale assertions.
 //!
+//! [`explore`] runs each worker body on one OS thread for the whole
+//! exploration and sends it one job per execution; the scheduler's
+//! baton admits one thread at a time and wakes only the thread it
+//! dispatches.
+//!
 //! Mutation mode re-runs a scenario with one `(location, op-kind)`
 //! site weakened to `Relaxed` ([`membuf::Mutation`]) — the checker
 //! must then produce a counterexample for every load-bearing ordering,
@@ -42,7 +47,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Once};
 
 pub use linearize::OpRecord;
 pub use membuf::{LocId, Mutation, OpKind};
@@ -328,7 +333,7 @@ pub type FinaleFn<S> = fn(&S) -> Result<(), String>;
 /// A checkable scenario: a structure, 1–4 worker bodies, an optional
 /// sequential spec for the recorded history, and an optional finale
 /// assertion evaluated after all workers joined.
-pub struct Scenario<S: Sync> {
+pub struct Scenario<S: Send + Sync> {
     /// Display name.
     pub name: &'static str,
     /// Builds the structure (runs on the controller, pre-spawn).
@@ -389,19 +394,19 @@ impl Report {
     }
 }
 
-/// Serialises explorations: the panic-hook swap and the wall-clock
-/// cost of an exploration make concurrent explorations (e.g. from
-/// parallel `cargo test` threads) undesirable.
+/// Serialises explorations: the wall-clock cost of an exploration
+/// makes concurrent explorations (e.g. from parallel `cargo test`
+/// threads) undesirable.
 static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
 
-/// While an exploration runs, suppress panic output from worker
-/// threads (aborts and injected-bug panics are expected and captured);
-/// controller-side panics keep the default report — those are checker
-/// bugs and must stay loud.
-struct HookGuard;
-
-impl HookGuard {
-    fn install() -> HookGuard {
+/// Once per process, chain a filter in front of the current panic hook
+/// that suppresses panic output from worker threads (aborts and
+/// injected-bug panics are expected and captured). Every other panic —
+/// controller-side ones are checker bugs and must stay loud, and any
+/// panic outside an exploration — reaches the previous hook.
+fn install_panic_filter() {
+    static FILTER: Once = Once::new();
+    FILTER.call_once(|| {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             let in_worker = CTX.with(|c| matches!(*c.borrow(), Some((_, tid)) if tid != 0));
@@ -409,27 +414,18 @@ impl HookGuard {
                 prev(info);
             }
         }));
-        HookGuard
-    }
-}
-
-impl Drop for HookGuard {
-    fn drop(&mut self) {
-        // Restoring the exact previous hook is impossible once it is
-        // captured by our closure; reinstate the standard one. Touching
-        // the hook from a panicking thread itself panics, so skip it
-        // when unwinding (the filter closure stays installed, which is
-        // harmless: with no live CTX it passes everything through).
-        if !std::thread::panicking() {
-            let _ = panic::take_hook();
-        }
-    }
+    });
 }
 
 /// Exhaustively explore `scenario` and report.
-pub fn explore<S: Sync>(scenario: &Scenario<S>, opts: &ExploreOpts) -> Report {
+///
+/// Each worker body runs on one OS thread for the whole exploration,
+/// and every execution sends each of them its job. Dropping the senders
+/// when the search ends lets the workers return, and the scope joins
+/// them.
+pub fn explore<S: Send + Sync>(scenario: &Scenario<S>, opts: &ExploreOpts) -> Report {
     let _serial = EXPLORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _hook = HookGuard::install();
+    install_panic_filter();
     let mut report = Report {
         scenario: scenario.name,
         executions: 0,
@@ -440,26 +436,64 @@ pub fn explore<S: Sync>(scenario: &Scenario<S>, opts: &ExploreOpts) -> Report {
     };
     let mut path: Vec<dpor::Choice> = Vec::new();
     let mut sites = std::collections::BTreeSet::new();
-    loop {
-        report.executions += 1;
-        let out = run_once(scenario, opts, std::mem::take(&mut path));
-        path = out.path;
-        report.events += out.events.len() as u64;
-        sites.extend(out.sites);
-        if let Some(v) = out.violation {
-            report.violation = Some(v);
-            break;
+    std::thread::scope(|scope| {
+        let jobs: Vec<mpsc::Sender<Job<S>>> = scenario
+            .workers
+            .iter()
+            .enumerate()
+            .map(|(i, &body)| {
+                let (tx, rx) = mpsc::channel();
+                scope.spawn(move || run_worker(i + 1, body, rx));
+                tx
+            })
+            .collect();
+        loop {
+            report.executions += 1;
+            let out = run_once(scenario, opts, &jobs, std::mem::take(&mut path));
+            path = out.path;
+            report.events += out.events.len() as u64;
+            sites.extend(out.sites);
+            if let Some(v) = out.violation {
+                report.violation = Some(v);
+                break;
+            }
+            if report.executions >= opts.max_execs {
+                report.capped = true;
+                break;
+            }
+            if !dpor::advance(&mut path, &out.events) {
+                break;
+            }
         }
-        if report.executions >= opts.max_execs {
-            report.capped = true;
-            break;
-        }
-        if !dpor::advance(&mut path, &out.events) {
-            break;
-        }
-    }
+    });
     report.sites = sites.into_iter().collect();
     report
+}
+
+/// One execution's work for a worker thread.
+struct Job<S> {
+    shared: Arc<ExecShared>,
+    s: Arc<S>,
+}
+
+/// A worker thread: run `body` as logical thread `tid` once per job,
+/// until the controller drops the sender.
+fn run_worker<S>(tid: usize, body: fn(&S, &Recorder), jobs: mpsc::Receiver<Job<S>>) {
+    for Job { shared, s } in jobs {
+        let ctx = CtxGuard::install(Arc::clone(&shared), tid);
+        let rec = Recorder { _priv: () };
+        let result = panic::catch_unwind(AssertUnwindSafe(|| body(&s, &rec)));
+        let msg = match result {
+            Ok(()) => None,
+            Err(p) if p.is::<sched::AbortExec>() => None,
+            Err(p) => Some(panic_message(&*p)),
+        };
+        // The controller unwraps and drops the structure once every
+        // worker has finished, so release this clone first.
+        drop(s);
+        drop(ctx);
+        shared.finish_worker(tid, msg);
+    }
 }
 
 struct ExecOutcome {
@@ -469,12 +503,13 @@ struct ExecOutcome {
     sites: Vec<(LocId, OpKind)>,
 }
 
-fn run_once<S: Sync>(
+fn run_once<S: Send + Sync>(
     scenario: &Scenario<S>,
     opts: &ExploreOpts,
+    jobs: &[mpsc::Sender<Job<S>>],
     path: Vec<dpor::Choice>,
 ) -> ExecOutcome {
-    let nworkers = scenario.workers.len();
+    let nworkers = jobs.len();
     let shared = Arc::new(ExecShared::new(
         nworkers + 1,
         path,
@@ -484,7 +519,7 @@ fn run_once<S: Sync>(
     let _ctx = CtxGuard::install(Arc::clone(&shared), 0);
 
     // Setup runs on the controller: deterministic, no choice points.
-    let s = (scenario.setup)();
+    let s = Arc::new((scenario.setup)());
 
     {
         let mut st = shared.lock();
@@ -498,32 +533,16 @@ fn run_once<S: Sync>(
         st.phase = sched::Phase::Parallel;
     }
 
-    std::thread::scope(|scope| {
-        for (i, body) in scenario.workers.iter().enumerate() {
-            let tid = i + 1;
-            let shared = Arc::clone(&shared);
-            let body = *body;
-            let s = &s;
-            scope.spawn(move || {
-                let _ctx = CtxGuard::install(Arc::clone(&shared), tid);
-                let rec = Recorder { _priv: () };
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(s, &rec)));
-                let msg = match result {
-                    Ok(()) => None,
-                    Err(p) if p.is::<sched::AbortExec>() => None,
-                    Err(p) => Some(panic_message(&p)),
-                };
-                shared.finish_worker(tid, msg);
-            });
-        }
-        // Initial dispatch, then wait for the parallel phase to end.
-        {
-            let mut st = shared.lock();
-            shared.pick_next(&mut st);
-            shared.cv.notify_all();
-        }
-        shared.wait_workers();
-    });
+    for job in jobs {
+        job.send(Job {
+            shared: Arc::clone(&shared),
+            s: Arc::clone(&s),
+        })
+        .expect("schedcheck worker thread exited before the exploration ended");
+    }
+    // Initial dispatch, then wait for the parallel phase to end.
+    shared.pass_baton(&mut shared.lock(), 0);
+    shared.wait_workers();
 
     // Post-parallel checks run on the controller.
     let no_violation = shared.lock().violation.is_none();
@@ -555,6 +574,9 @@ fn run_once<S: Sync>(
     // is in an arbitrary intermediate state — its Drop may (rightly)
     // assert or walk half-built links, so leak it instead. One leak per
     // counterexample; the search stops at the first one.
+    let Ok(s) = Arc::try_unwrap(s) else {
+        panic!("schedcheck bug: a worker still holds the structure after finishing");
+    };
     if shared.lock().violation.is_some() {
         std::mem::forget(s);
     } else {

@@ -11,14 +11,15 @@
 //! expectations, including the provably benign sites).
 
 use super::{
-    explore, ExploreOpts, OpKind, Recorder, Report, Scenario, Shadow, SpecOp, SpecRet, SpecState,
-    TrackedCell,
+    explore, ExploreOpts, LocId, Mutation, OpKind, Recorder, Report, Scenario, Shadow, SpecOp,
+    SpecRet, SpecState, TrackedCell,
 };
 use bounce_atomics::counter::{CombiningCounter, ConcurrentCounter, SharedCounter, StripedCounter};
 use bounce_atomics::locks::{ClhLock, McsLock, RawLock, TasLock, TicketLock, TtasLock};
 use bounce_atomics::queue::MsQueue;
 use bounce_atomics::stack::TreiberStack;
 use bounce_atomics::SeqLock;
+use std::collections::BTreeSet;
 
 /// One runnable scenario in the registry.
 pub struct Entry {
@@ -31,9 +32,77 @@ pub struct Entry {
     /// Mutation sites (`"t{tid}#{idx}"`, op kind) whose weakening to
     /// `Relaxed` is expected to go **undetected**, with the argument
     /// for why recorded next to each list below. Every other site must
-    /// produce a violation when weakened; the sweep harness (tests and
-    /// `schedcheck --mutate`) enforces both directions.
+    /// produce a violation when weakened; [`Entry::sweep`] enforces
+    /// both directions.
     pub benign: &'static [(&'static str, OpKind)],
+}
+
+/// A mutation sweep that kept the benign-list contract.
+#[derive(Debug)]
+pub struct Sweep {
+    /// Sites whose weakening to `Relaxed` the checker caught.
+    pub caught: Vec<(LocId, OpKind)>,
+    /// Sites whose weakening went undetected: exactly the benign list.
+    pub silent: Vec<(LocId, OpKind)>,
+}
+
+impl Entry {
+    /// Mutation sweep: re-explore the scenario once per site of its
+    /// clean report `clean`, with that site weakened to `Relaxed`.
+    ///
+    /// The contract, shared by the self-tests and `schedcheck
+    /// --mutate`: every silent site is in the benign list, every
+    /// benign entry is a silent site (no stale list), no mutated
+    /// exploration is capped, and the scenario is not vacuous — some
+    /// weakening is caught, unless the list declares *every* site
+    /// benign (the structure's in-model correctness is carried by RMW
+    /// atomicity alone). Returns the breaches when it is not kept.
+    pub fn sweep(&self, clean: &Report) -> Result<Sweep, Vec<String>> {
+        let mut sweep = Sweep {
+            caught: Vec::new(),
+            silent: Vec::new(),
+        };
+        let mut breaches = Vec::new();
+        for &(loc, kind) in &clean.sites {
+            let report = (self.run)(&ExploreOpts {
+                mutation: Some(Mutation { loc, kind }),
+                ..ExploreOpts::default()
+            });
+            if report.violation.is_some() {
+                sweep.caught.push((loc, kind));
+            } else if report.capped {
+                breaches.push(format!("mutate {loc} {kind:?}: CAPPED (inconclusive)"));
+            } else {
+                sweep.silent.push((loc, kind));
+            }
+        }
+        let silent: BTreeSet<(String, OpKind)> = sweep
+            .silent
+            .iter()
+            .map(|&(l, k)| (l.to_string(), k))
+            .collect();
+        let benign: BTreeSet<(String, OpKind)> = self
+            .benign
+            .iter()
+            .map(|&(l, k)| (l.to_string(), k))
+            .collect();
+        for (loc, kind) in silent.difference(&benign) {
+            breaches.push(format!(
+                "weakening {loc} {kind:?} went undetected and is not in the curated benign list"
+            ));
+        }
+        for (loc, kind) in benign.difference(&silent) {
+            breaches.push(format!("stale benign entry ({loc}, {kind:?})"));
+        }
+        if sweep.caught.is_empty() && self.benign.len() != clean.sites.len() {
+            breaches.push("no weakened ordering was detected — scenario is vacuous".to_string());
+        }
+        if breaches.is_empty() {
+            Ok(sweep)
+        } else {
+            Err(breaches)
+        }
+    }
 }
 
 /// Every registered scenario, in reporting order.

@@ -5,6 +5,13 @@
 //! free and every context switch happens at an operation boundary,
 //! exactly where the checker chose it.
 //!
+//! Each logical thread parks on its own condition variable (`cvs[t]`;
+//! the controller uses `cvs[0]`), so handing the baton over wakes only
+//! the thread it goes to. When the scheduler hands it straight back to
+//! the thread that offered it — DPOR's default, the lowest enabled
+//! thread, does so on most ops — nobody is woken at all. Only a
+//! violation wakes every thread, so that each can unwind.
+//!
 //! Yield points are: the start of every shadow atomic op, every
 //! tracked-cell access, every `spin_hint()`, and thread exit. Code
 //! *between* ops rides with the preceding op (loom's convention): the
@@ -137,12 +144,14 @@ pub struct ExecState {
     pub history: Vec<OpRecord>,
 }
 
-/// The mutex+condvar pair every logical thread synchronises on.
+/// The mutex every logical thread synchronises on, with one wake-up
+/// per logical thread.
 pub struct ExecShared {
     /// The state.
     pub st: Mutex<ExecState>,
-    /// Baton/wake signalling.
-    pub cv: Condvar,
+    /// Baton/wake signalling: thread `t` waits only on `cvs[t]`, all
+    /// under `st`.
+    pub cvs: [Condvar; MAX_THREADS],
 }
 
 fn lock_err(e: std::sync::PoisonError<MutexGuard<'_, ExecState>>) -> MutexGuard<'_, ExecState> {
@@ -187,7 +196,7 @@ impl ExecShared {
                 sites: BTreeSet::new(),
                 history: Vec::new(),
             }),
-            cv: Condvar::new(),
+            cvs: [const { Condvar::new() }; MAX_THREADS],
         }
     }
 
@@ -209,20 +218,37 @@ impl ExecShared {
             .collect();
         trace.push(format!("  => {kind}: {desc}"));
         st.violation = Some(SchedViolation { kind, desc, trace });
-        self.cv.notify_all();
+        self.wake_all();
+    }
+
+    /// Wake every logical thread, so each sees the violation and unwinds.
+    fn wake_all(&self) {
+        for cv in &self.cvs {
+            cv.notify_all();
+        }
     }
 
     /// Unwind the calling thread out of the execution.
     fn abort(&self, guard: MutexGuard<'_, ExecState>) -> ! {
-        self.cv.notify_all();
+        self.wake_all();
         drop(guard);
         std::panic::panic_any(AbortExec);
     }
 
-    /// Pick the next thread to dispatch. Called only while holding the
-    /// baton (or by the controller's initial dispatch / a finishing
-    /// worker). Detects deadlock when every live worker is blocked.
-    pub fn pick_next(&self, st: &mut ExecState) {
+    /// Pick the next thread to dispatch and wake it, unless the baton
+    /// stays with `from`, the thread offering it. Called only while
+    /// holding the baton (or by the controller's initial dispatch / a
+    /// finishing worker).
+    pub fn pass_baton(&self, st: &mut ExecState, from: usize) {
+        self.pick_next(st);
+        if st.current != from {
+            self.cvs[st.current].notify_one();
+        }
+    }
+
+    /// Pick the next thread to dispatch. Detects deadlock when every
+    /// live worker is blocked.
+    fn pick_next(&self, st: &mut ExecState) {
         let enabled: Vec<usize> = (1..st.nthreads)
             .filter(|&t| st.status[t] == ThreadStatus::Runnable)
             .collect();
@@ -265,8 +291,7 @@ impl ExecShared {
         }
         if st.current == tid && !st.pending {
             // We kept the baton through our user code; offer it up.
-            self.pick_next(&mut st);
-            self.cv.notify_all();
+            self.pass_baton(&mut st, tid);
         }
         loop {
             if st.violation.is_some() {
@@ -275,7 +300,7 @@ impl ExecShared {
             if st.current == tid && st.pending {
                 break;
             }
-            st = self.cv.wait(st).unwrap_or_else(lock_err);
+            st = self.cvs[tid].wait(st).unwrap_or_else(lock_err);
         }
         st.pending = false;
         let choice = st.pending_choice.take();
@@ -645,8 +670,7 @@ impl ExecShared {
             return;
         }
         st.status[tid] = ThreadStatus::Blocked(loc);
-        self.pick_next(&mut st);
-        self.cv.notify_all();
+        self.pass_baton(&mut st, tid);
         loop {
             if st.violation.is_some() {
                 self.abort(st);
@@ -654,7 +678,7 @@ impl ExecShared {
             if st.status[tid] == ThreadStatus::Runnable && st.current == tid && st.pending {
                 break; // dispatch left pending for the next op
             }
-            st = self.cv.wait(st).unwrap_or_else(lock_err);
+            st = self.cvs[tid].wait(st).unwrap_or_else(lock_err);
         }
     }
 
@@ -675,7 +699,8 @@ impl ExecShared {
         self.lock().history.push(rec);
     }
 
-    /// Worker epilogue: mark finished, release the baton if held.
+    /// Worker epilogue: mark finished, release the baton if held, and
+    /// tell the controller.
     pub fn finish_worker(&self, tid: usize, panic_msg: Option<String>) {
         let mut st = self.lock();
         if let Some(msg) = panic_msg {
@@ -683,9 +708,9 @@ impl ExecShared {
         }
         st.status[tid] = ThreadStatus::Finished;
         if st.phase == Phase::Parallel && st.current == tid && st.violation.is_none() {
-            self.pick_next(&mut st);
+            self.pass_baton(&mut st, tid);
         }
-        self.cv.notify_all();
+        self.cvs[0].notify_one();
     }
 
     /// Controller: block until every worker has finished, then join
@@ -697,7 +722,7 @@ impl ExecShared {
             if done {
                 break;
             }
-            st = self.cv.wait(st).unwrap_or_else(lock_err);
+            st = self.cvs[0].wait(st).unwrap_or_else(lock_err);
         }
         for t in 1..st.nthreads {
             let c = st.clocks[t];
