@@ -29,6 +29,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bounce_atomics::Primitive;
+use bounce_harness::json::{self, Json};
 use bounce_sim::conform::ConformRecorder;
 use bounce_sim::program::builders;
 use bounce_sim::protocol::protocol_for;
@@ -233,58 +234,42 @@ fn run_scenario(
         .expect("recorder stays attached"))
 }
 
-/// Committed-coverage baseline, parsed from the hand-rolled JSON.
+/// Committed-coverage baseline.
 struct Baseline {
     fabric: String,
     rows: Vec<(String, Vec<String>)>,
 }
 
-fn extract_string_field(content: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = content.find(&pat)? + pat.len();
-    let end = content[start..].find('"')? + start;
-    Some(content[start..end].to_string())
-}
-
-/// `None` unless every protocol has a block: only a canonical run
-/// writes the baseline, and it always covers all three, so a missing
-/// block means the file is damaged.
-fn parse_baseline(content: &str) -> Option<Baseline> {
-    let fabric = extract_string_field(content, "fabric")?;
+/// Every protocol must have a block: only a canonical run writes the
+/// baseline, and it always covers all three, so a missing block means
+/// the file is damaged.
+fn parse_baseline(content: &str) -> Result<Baseline, String> {
+    let doc = json::parse(content).map_err(|e| e.to_string())?;
+    let fabric = doc.get("fabric").and_then(Json::as_str);
     let mut rows = Vec::new();
-    for kind in CoherenceKind::ALL {
-        let pat = format!("\"{}\": [", kind.label());
-        let start = content.find(&pat)?;
-        let body_start = start + pat.len();
-        let body_end = content[body_start..].find(']')? + body_start;
-        let keys: Vec<String> = content[body_start..body_end]
-            .split('"')
-            .skip(1)
-            .step_by(2)
-            .map(str::to_string)
-            .collect();
-        rows.push((kind.label().to_string(), keys));
+    for label in CoherenceKind::ALL.iter().map(|k| k.label()) {
+        let keys = match doc.get("protocols").and_then(|p| p.get(label)) {
+            Some(Json::Arr(keys)) => keys.iter().map(|k| Some(k.as_str()?.to_string())).collect(),
+            _ => None,
+        };
+        let bad = || format!("missing or malformed \"{label}\" block");
+        rows.push((label.to_string(), keys.ok_or_else(bad)?));
     }
-    Some(Baseline { fabric, rows })
+    let fabric = fabric.ok_or("missing \"fabric\"")?.to_string();
+    Ok(Baseline { fabric, rows })
 }
 
 fn coverage_json(quick: bool, fabric: &str, reports: &[CoverageReport]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"quick\": {quick},\n  \"fabric\": \"{fabric}\",\n  \"protocols\": {{\n"
-    ));
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str(&format!("    \"{}\": [\n", r.protocol.label()));
-        let keys = r.hit_keys();
-        for (j, k) in keys.iter().enumerate() {
-            let comma = if j + 1 < keys.len() { "," } else { "" };
-            s.push_str(&format!("      \"{k}\"{comma}\n"));
-        }
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        s.push_str(&format!("    ]{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    s
+    let protocols = reports.iter().map(|r| {
+        let keys = r.hit_keys().into_iter().map(Json::Str).collect();
+        (r.protocol.label(), Json::Arr(keys))
+    });
+    let doc = Json::obj([
+        ("quick", Json::Bool(quick)),
+        ("fabric", Json::Str(fabric.to_string())),
+        ("protocols", Json::obj(protocols)),
+    ]);
+    json::render(&doc, 3)
 }
 
 /// Run the conformance campaign. Returns `Err` on any refinement
@@ -354,12 +339,16 @@ fn gate_and_write(
     fabric_label: &str,
     canonical: bool,
 ) -> Result<(), String> {
+    // Only a missing file means "no baseline"; one that cannot be read
+    // or parsed fails the gate rather than being skipped and overwritten.
+    let shown = path.display();
     let baseline = match fs::read_to_string(path) {
-        Ok(content) => Some(
-            parse_baseline(&content)
-                .ok_or_else(|| format!("could not parse coverage baseline {}", path.display()))?,
+        Ok(text) => Some(
+            parse_baseline(&text)
+                .map_err(|e| format!("could not parse coverage baseline {shown}: {e}"))?,
         ),
-        Err(_) => None,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => return Err(format!("reading coverage baseline {shown}: {e}")),
     };
     match baseline {
         Some(base) if base.fabric == fabric_label => {
@@ -480,6 +469,25 @@ mod tests {
         let full = reports(&ROWS);
         let baseline = coverage_json(true, DEFAULT_FABRIC, &full[1..]);
         let err = gate("missing", &baseline, &full).unwrap_err();
-        assert!(err.contains("could not parse coverage baseline"), "{err}");
+        assert!(
+            err.contains("missing or malformed \"mesif\" block"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unreadable_baseline_fails_the_gate_and_is_not_overwritten() {
+        let dir = std::env::temp_dir().join(format!("conform-gate-utf8-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(COVERAGE_FILE);
+        let bytes = b"{\"fabric\": \"severe\xff\"}".to_vec();
+        fs::write(&path, &bytes).unwrap();
+        let now = reports(&ROWS);
+        for canonical in [false, true] {
+            let err = gate_and_write(&path, &now, true, DEFAULT_FABRIC, canonical).unwrap_err();
+            assert!(err.contains("reading coverage baseline"), "{err}");
+            assert_eq!(fs::read(&path).unwrap(), bytes, "canonical={canonical}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,16 +9,17 @@
 //! and the resumed run's `results/` is byte-identical to an
 //! uninterrupted one (experiments are independent and deterministic).
 //!
-//! The format is a small hand-written JSON subset (this repository
-//! vendors no JSON dependency): one object keyed by experiment id, each
-//! entry listing `{path, hash}` records. Hashes are 64-bit FNV-1a over
-//! the file bytes — collision resistance is irrelevant here; the hash
-//! only needs to catch truncated or hand-edited outputs.
+//! The file is JSON read and written through `bounce_harness::json`:
+//! one object keyed by experiment id, each entry listing `{path, hash}`
+//! records. Hashes are 64-bit FNV-1a over the file bytes — collision
+//! resistance is irrelevant here; the hash only needs to catch
+//! truncated or hand-edited outputs.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+
+use bounce_harness::json::{self, Json};
 
 /// Manifest file name inside the output directory.
 pub const FILE_NAME: &str = "MANIFEST.json";
@@ -55,22 +56,6 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("fnv1a:{h:016x}")
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Manifest {
     /// A fresh manifest for a campaign configuration.
     pub fn new(config: &str) -> Self {
@@ -80,62 +65,37 @@ impl Manifest {
         }
     }
 
-    /// Serialise to the JSON subset this module reads back.
+    /// Serialise to the JSON [`Manifest::from_json`] reads back.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"config\": \"{}\",", json_escape(&self.config));
-        s.push_str("  \"experiments\": {\n");
-        let total = self.entries.len();
-        for (i, (id, files)) in self.entries.iter().enumerate() {
-            let _ = write!(s, "    \"{}\": [", json_escape(id));
-            for (j, f) in files.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{{\"path\": \"{}\", \"hash\": \"{}\"}}",
-                    if j == 0 { "" } else { ", " },
-                    json_escape(&f.path),
-                    json_escape(&f.hash)
-                );
-            }
-            let _ = writeln!(s, "]{}", if i + 1 == total { "" } else { "," });
-        }
-        s.push_str("  }\n}\n");
-        s
+        let record = |f: &FileRecord| {
+            let fields = [("path", &f.path), ("hash", &f.hash)];
+            Json::obj(fields.map(|(k, v)| (k, Json::Str(v.clone()))))
+        };
+        let files = |files: &Vec<FileRecord>| Json::Arr(files.iter().map(record).collect());
+        let experiments = Json::obj(self.entries.iter().map(|(id, f)| (id.as_str(), files(f))));
+        let config = Json::Str(self.config.clone());
+        let doc = Json::obj([("config", config), ("experiments", experiments)]);
+        json::render(&doc, 2)
     }
 
     /// Parse a manifest previously written by [`Manifest::to_json`].
     pub fn from_json(text: &str) -> Result<Manifest, String> {
-        let v = parse_json(text)?;
-        let top = v.as_object().ok_or("manifest root is not an object")?;
-        let config = top
-            .field("config")
-            .and_then(Json::as_str)
-            .ok_or("manifest missing \"config\"")?
-            .to_string();
-        let exps = top
-            .field("experiments")
-            .and_then(Json::as_object)
-            .ok_or("manifest missing \"experiments\"")?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        let field = |v: &Json, key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
+        let config = field(&doc, "config").ok_or("manifest missing \"config\"")?;
+        let Some(Json::Obj(experiments)) = doc.get("experiments") else {
+            return Err("manifest missing \"experiments\"".into());
+        };
         let mut entries = BTreeMap::new();
-        for (id, files) in exps {
-            let arr = files
-                .as_array()
-                .ok_or_else(|| format!("entry '{id}' is not an array"))?;
-            let mut records = Vec::with_capacity(arr.len());
-            for f in arr {
-                let o = f
-                    .as_object()
-                    .ok_or_else(|| format!("file record in '{id}' is not an object"))?;
-                let get = |k: &str| -> Result<String, String> {
-                    o.field(k)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("file record in '{id}' missing \"{k}\""))
-                };
-                records.push(FileRecord {
-                    path: get("path")?,
-                    hash: get("hash")?,
-                });
+        for (id, files) in experiments {
+            let bad = || format!("entry '{id}' is not a list of {{path, hash}} records");
+            let Json::Arr(files) = files else {
+                return Err(bad());
+            };
+            let mut records = Vec::new();
+            for f in files {
+                let (path, hash) = field(f, "path").zip(field(f, "hash")).ok_or_else(bad)?;
+                records.push(FileRecord { path, hash });
             }
             entries.insert(id.clone(), records);
         }
@@ -185,179 +145,6 @@ impl Manifest {
     }
 }
 
-// --- minimal JSON subset parser (objects, arrays, strings) ---
-
-#[derive(Debug)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    Str(String),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-trait ObjectExt {
-    fn field(&self, key: &str) -> Option<&Json>;
-}
-
-impl ObjectExt for [(String, Json)] {
-    fn field(&self, key: &str) -> Option<&Json> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(&c) => Err(format!("unexpected '{}' at byte {}", c as char, *pos)),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
-        out.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(out));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(out));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", other as char)),
-                }
-            }
-            c => {
-                // Re-assemble multi-byte UTF-8 sequences verbatim.
-                let start = *pos - 1;
-                let len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = b.get(start..start + len).ok_or("truncated UTF-8")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                *pos = start + len;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +181,22 @@ mod tests {
         assert_eq!(parsed, m);
         // Stable serialisation: BTreeMap ordering, not insertion order.
         assert_eq!(parsed.to_json(), m.to_json());
+        // The on-disk layout, including the empty-manifest form.
+        let t1 = fnv1a_hex(b"t1");
+        let mut one = Manifest::new("cfg");
+        one.entries
+            .insert("table1".into(), sample().entries["table1"].clone());
+        assert_eq!(
+            one.to_json(),
+            format!(
+                "{{\n  \"config\": \"cfg\",\n  \"experiments\": {{\n    \"table1\": \
+                 [{{\"path\": \"table1.tsv\", \"hash\": \"{t1}\"}}]\n  }}\n}}\n"
+            )
+        );
+        assert_eq!(
+            Manifest::new("cfg").to_json(),
+            "{\n  \"config\": \"cfg\",\n  \"experiments\": {\n  }\n}\n"
+        );
     }
 
     #[test]
@@ -429,6 +232,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("manifest-miss-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         assert_eq!(Manifest::load(&dir).unwrap(), None);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Manifest::from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -59,6 +59,21 @@ fn resume_without_out_is_an_error() {
 }
 
 #[test]
+fn resume_rejects_a_hostile_manifest_without_aborting() {
+    let dir = tmp_dir("hostile");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(MANIFEST), "[".repeat(1_000_000)).unwrap();
+    let out = run_all(&dir, true);
+    assert_eq!(out.status.code(), Some(1), "must exit 1, not abort");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("parsing") && err.contains(MANIFEST) && err.contains("nesting deeper"),
+        "stderr should name the manifest and the parse error: {err}"
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn resume_rejects_mismatched_configuration() {
     let dir = tmp_dir("config");
     let first = run_all(&dir, false);

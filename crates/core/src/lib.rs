@@ -62,6 +62,6 @@ pub mod validate;
 pub use fit::{fit_transfer_costs, FitReport, NelderMead, ScenarioObservation};
 pub use mixture::domain_mixture;
 pub use params::{ModelParams, TransferCosts};
-pub use predict::{BouncingModel, Model, Regime};
+pub use predict::{BouncingModel, Regime};
 pub use scenario::{LockHandoffs, Prediction, PredictionDetail, Predictor, Scenario};
 pub use validate::{mape, max_ape, validated_rows, ValidationMetric, ValidationRow};

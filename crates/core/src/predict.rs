@@ -2,9 +2,8 @@
 //!
 //! [`BouncingModel`] is the canonical [`Predictor`]: it maps every
 //! [`Scenario`] variant to the paper's closed forms. The per-regime
-//! `predict_*` methods remain available for direct use (and keep the
-//! formulas readable one regime at a time); [`Predictor::predict`] is
-//! the single entry point the harness routes through.
+//! `predict_*` methods are private (they keep the formulas readable one
+//! regime at a time); [`Predictor::predict`] is the single entry point.
 
 use crate::mixture::{domain_mixture, expected_transfer_cycles};
 use crate::params::ModelParams;
@@ -41,12 +40,12 @@ impl Regime {
 /// The model bound to a machine.
 ///
 /// ```
-/// use bounce_core::{Model, ModelParams, Predictor, Scenario};
+/// use bounce_core::{BouncingModel, ModelParams, Predictor, Scenario};
 /// use bounce_topo::{presets, Placement};
 /// use bounce_atomics::Primitive;
 ///
 /// let topo = presets::xeon_e5_2695_v4();
-/// let model = Model::new(topo.clone(), ModelParams::e5_default());
+/// let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
 /// let threads = Placement::Packed.assign(&topo, 24);
 ///
 /// let p = model.predict(&Scenario::high_contention(&threads, Primitive::Faa));
@@ -62,9 +61,6 @@ pub struct BouncingModel {
     topo: MachineTopology,
     params: ModelParams,
 }
-
-/// The historical name of [`BouncingModel`], kept for existing callers.
-pub type Model = BouncingModel;
 
 impl BouncingModel {
     /// Bind parameters to a machine.
@@ -106,7 +102,7 @@ impl BouncingModel {
     /// * `X(N≥2) = 1/E[t]` — flat in N,
     /// * `L(N) = N·E[t] + c_p`,
     /// * `E/op = N·P_static/X + e_op + e_transfer`.
-    pub fn predict_hc(&self, threads: &[HwThreadId], prim: Primitive) -> Prediction {
+    fn predict_hc(&self, threads: &[HwThreadId], prim: Primitive) -> Prediction {
         let n = threads.len();
         let c_p = self.params.issue(prim);
         let mix = domain_mixture(&self.topo, threads);
@@ -138,7 +134,7 @@ impl BouncingModel {
 
     /// Low-contention prediction: `n` threads, each hammering its *own*
     /// line, `work` local cycles between ops.
-    pub fn predict_lc(&self, n: usize, prim: Primitive, work: f64) -> Prediction {
+    fn predict_lc(&self, n: usize, prim: Primitive, work: f64) -> Prediction {
         let c_p = self.params.issue(prim);
         let per_op = c_p + work;
         let x = n as f64 / per_op * self.cycles_per_sec();
@@ -161,12 +157,7 @@ impl BouncingModel {
     /// `X = min( N/(work + c_p + E[t]),  1/E[t] )` — the crossover from
     /// the contended regime to the diluted regime sits at
     /// `N* ≈ (work + c_p)/E[t] + 1`.
-    pub fn predict_dilution(
-        &self,
-        threads: &[HwThreadId],
-        prim: Primitive,
-        work: f64,
-    ) -> Prediction {
+    fn predict_dilution(&self, threads: &[HwThreadId], prim: Primitive, work: f64) -> Prediction {
         let n = threads.len();
         if n <= 1 || work == 0.0 {
             let mut p = self.predict_hc(threads, prim);
@@ -209,7 +200,7 @@ impl BouncingModel {
     /// per second); attempts and the success probability ride in
     /// [`PredictionDetail::CasLoop`]. Latency and energy are unmodeled
     /// (zero).
-    pub fn predict_cas_loop(&self, threads: &[HwThreadId], window: f64) -> Prediction {
+    fn predict_cas_loop(&self, threads: &[HwThreadId], window: f64) -> Prediction {
         let n = threads.len();
         if n <= 1 {
             let c = self.params.issue(Primitive::Cas) + self.params.issue(Primitive::Load) + window;
@@ -264,7 +255,7 @@ impl BouncingModel {
     /// contender subset, so system throughput is the sum of the stripes'
     /// `1/E[t]` rates, capped by total demand `N/(c_p)` when stripes
     /// outnumber contenders.
-    pub fn predict_multiline(
+    fn predict_multiline(
         &self,
         threads: &[HwThreadId],
         prim: Primitive,
@@ -329,7 +320,7 @@ impl BouncingModel {
     /// The prediction's throughput is the combined reader+writer rate;
     /// the split rides in [`PredictionDetail::MixedRw`]. Latency and
     /// energy are unmodeled (zero).
-    pub fn predict_mixed_rw(
+    fn predict_mixed_rw(
         &self,
         writer: HwThreadId,
         readers: &[HwThreadId],
@@ -379,8 +370,9 @@ impl BouncingModel {
 
     /// Coarse closed-form handoff rates for the lock ladder under
     /// contention (`n ≥ 2` spinners, critical section `cs` cycles).
-    /// Returns handoffs per second keyed by [`bounce_atomics::LockShape`]
-    /// (see [`LockHandoffs`]).
+    /// The handoffs per second, keyed by [`bounce_atomics::LockShape`],
+    /// ride in [`PredictionDetail::Locks`]; throughput, latency and
+    /// energy are unmodeled (zero).
     ///
     /// Assembly per handoff (each term one line transfer ≈ E\[t\]):
     ///
@@ -393,20 +385,31 @@ impl BouncingModel {
     ///   — period ≈ `cs + 3·E[t]`, independent of n.
     /// * **MCS**: one SWAP amortised + the private-flag handoff —
     ///   period ≈ `cs + 2·E[t]`, independent of n.
-    pub fn predict_lock_handoffs(&self, threads: &[HwThreadId], cs: f64) -> LockHandoffs {
-        let n = threads.len() as f64;
+    fn predict_lock_handoffs(&self, threads: &[HwThreadId], cs: f64) -> Prediction {
+        let n = threads.len();
         let f = self.cycles_per_sec();
-        if threads.len() < 2 {
+        let (mixture, e_t, handoffs) = if n < 2 {
             let c = self.params.issue(Primitive::Tas);
-            let x = f / (cs + 2.0 * c);
-            return LockHandoffs::uniform(x);
+            ([0.0; 5], 0.0, LockHandoffs::uniform(f / (cs + 2.0 * c)))
+        } else {
+            let mix = domain_mixture(&self.topo, threads);
+            let e_t = expected_transfer_cycles(&mix, &self.params.transfer.as_array());
+            let k = n as f64;
+            let tas = f / (cs + k * e_t);
+            let ttas = f / (cs + 2.0 * e_t + 0.5 * (k - 1.0) * e_t);
+            let ticket = f / (cs + 3.0 * e_t);
+            let mcs = f / (cs + 2.0 * e_t);
+            (mix, e_t, LockHandoffs::new([tas, ttas, ticket, mcs]))
+        };
+        Prediction {
+            n,
+            mixture,
+            expected_transfer_cycles: e_t,
+            throughput_ops_per_sec: 0.0,
+            latency_cycles: 0.0,
+            energy_per_op_nj: 0.0,
+            detail: PredictionDetail::Locks(handoffs),
         }
-        let e_t = self.expected_transfer(threads);
-        let tas = f / (cs + n * e_t);
-        let ttas = f / (cs + 2.0 * e_t + 0.5 * (n - 1.0) * e_t);
-        let ticket = f / (cs + 3.0 * e_t);
-        let mcs = f / (cs + 2.0 * e_t);
-        LockHandoffs::new([tas, ttas, ticket, mcs])
     }
 
     /// Classify which resource bounds a configuration — the
@@ -445,12 +448,8 @@ impl BouncingModel {
     /// Sweep helper: HC predictions for every thread count in `ns`,
     /// using the placement's first-`n` prefixes.
     pub fn hc_sweep(&self, order: &[HwThreadId], prim: Primitive, ns: &[usize]) -> Vec<Prediction> {
-        ns.iter()
-            .map(|&n| {
-                assert!(n <= order.len(), "sweep point {n} exceeds placement");
-                self.predict_hc(&order[..n], prim)
-            })
-            .collect()
+        let hc = |n: usize| self.predict(&Scenario::high_contention(&order[..n], prim));
+        ns.iter().map(|&n| hc(n)).collect()
     }
 }
 
@@ -478,26 +477,7 @@ impl Predictor for BouncingModel {
                 readers,
                 reader_gap,
             } => self.predict_mixed_rw(*writer, readers, *reader_gap),
-            Scenario::LockHandoff { threads, cs } => {
-                let handoffs = self.predict_lock_handoffs(threads, *cs);
-                let n = threads.len();
-                let (mixture, e_t) = if n >= 2 {
-                    let mix = domain_mixture(&self.topo, threads);
-                    let e_t = expected_transfer_cycles(&mix, &self.params.transfer.as_array());
-                    (mix, e_t)
-                } else {
-                    ([0.0; 5], 0.0)
-                };
-                Prediction {
-                    n,
-                    mixture,
-                    expected_transfer_cycles: e_t,
-                    throughput_ops_per_sec: 0.0,
-                    latency_cycles: 0.0,
-                    energy_per_op_nj: 0.0,
-                    detail: PredictionDetail::Locks(handoffs),
-                }
-            }
+            Scenario::LockHandoff { threads, cs } => self.predict_lock_handoffs(threads, *cs),
         }
     }
 }
@@ -745,6 +725,7 @@ mod tests {
         let m = e5_model();
         let order = Placement::Packed.assign(m.topo(), 36);
         let h = m.predict_lock_handoffs(&order, 100.0);
+        let h = h.lock_handoffs().unwrap();
         let (tas, ttas, ticket, mcs) = (
             h.get(LockShape::Tas),
             h.get(LockShape::Ttas),
@@ -757,6 +738,7 @@ mod tests {
         // Queue locks are ~flat in n.
         let small = Placement::Packed.assign(m.topo(), 4);
         let h4 = m.predict_lock_handoffs(&small, 100.0);
+        let h4 = h4.lock_handoffs().unwrap();
         assert!(
             (h4.get(LockShape::Ticket) / ticket) < 2.0,
             "ticket ~flat in n"
@@ -769,6 +751,7 @@ mod tests {
         let m = e5_model();
         let one = Placement::Packed.assign(m.topo(), 1);
         let h = m.predict_lock_handoffs(&one, 50.0);
+        let h = h.lock_handoffs().unwrap();
         let rates: Vec<f64> = h.iter().map(|(_, r)| r).collect();
         assert!(rates.iter().all(|&r| r == rates[0]));
         assert!(rates[0] > 0.0);
@@ -806,15 +789,14 @@ mod tests {
                 m.predict(&Scenario::mixed_rw(threads[0], &threads[1..], 8.0)),
                 m.predict_mixed_rw(threads[0], &threads[1..], 8.0),
             ),
+            (
+                m.predict(&Scenario::lock_handoff(threads, 100.0)),
+                m.predict_lock_handoffs(threads, 100.0),
+            ),
         ];
         for (via_trait, direct) in pairs {
             assert_eq!(via_trait, direct);
         }
-        let via_trait = m.predict(&Scenario::lock_handoff(threads, 100.0));
-        assert_eq!(
-            via_trait.lock_handoffs(),
-            Some(&m.predict_lock_handoffs(threads, 100.0))
-        );
     }
 
     #[test]

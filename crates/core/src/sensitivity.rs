@@ -15,7 +15,8 @@
 //! means the parameter barely matters for this configuration.
 
 use crate::params::ModelParams;
-use crate::predict::Model;
+use crate::predict::BouncingModel;
+use crate::scenario::{Predictor, Scenario};
 use bounce_atomics::Primitive;
 use bounce_topo::HwThreadId;
 
@@ -95,26 +96,27 @@ pub struct Sensitivity {
 /// Central-difference elasticities of the HC predictions at a given
 /// configuration, using relative step `h` (e.g. 0.05).
 pub fn hc_sensitivities(
-    model: &Model,
+    model: &BouncingModel,
     threads: &[HwThreadId],
     prim: Primitive,
     h: f64,
 ) -> Vec<Sensitivity> {
     assert!(h > 0.0 && h < 0.5, "relative step h out of (0, 0.5)");
-    let base = model.predict_hc(threads, prim);
+    let scenario = Scenario::high_contention(threads, prim);
+    let base = model.predict(&scenario);
     Param::ALL
         .iter()
         .map(|&param| {
-            let up = Model::new(
+            let up = BouncingModel::new(
                 model.topo().clone(),
                 param.scaled(model.params(), prim, 1.0 + h),
             )
-            .predict_hc(threads, prim);
-            let down = Model::new(
+            .predict(&scenario);
+            let down = BouncingModel::new(
                 model.topo().clone(),
                 param.scaled(model.params(), prim, 1.0 - h),
             )
-            .predict_hc(threads, prim);
+            .predict(&scenario);
             let elast = |hi: f64, lo: f64, b: f64| {
                 if b == 0.0 {
                     0.0
@@ -145,8 +147,8 @@ mod tests {
     use super::*;
     use bounce_topo::{presets, Placement};
 
-    fn model() -> Model {
-        Model::new(presets::xeon_e5_2695_v4(), ModelParams::e5_default())
+    fn model() -> BouncingModel {
+        BouncingModel::new(presets::xeon_e5_2695_v4(), ModelParams::e5_default())
     }
 
     fn sens_of(rows: &[Sensitivity], p: Param) -> &Sensitivity {

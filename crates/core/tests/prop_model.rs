@@ -6,7 +6,7 @@ use bounce_atomics::Primitive;
 use bounce_core::fairness::{predict_jain, ArbitrationKind};
 use bounce_core::mixture::{domain_mixture, expected_transfer_cycles};
 use bounce_core::stats;
-use bounce_core::{BouncingModel, Model, ModelParams, NelderMead, Predictor, Scenario};
+use bounce_core::{BouncingModel, ModelParams, NelderMead, Predictor, Scenario};
 use bounce_topo::{presets, Placement};
 use proptest::prelude::*;
 
@@ -45,13 +45,13 @@ proptest! {
     #[test]
     fn hc_monotonicities(n in 2usize..71) {
         let topo = presets::xeon_e5_2695_v4();
-        let model = Model::new(topo.clone(), ModelParams::e5_default());
+        let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
         let order = Placement::Packed.full_order(&topo);
-        let a = model.predict_hc(&order[..n], Primitive::Faa);
-        let b = model.predict_hc(&order[..n + 1], Primitive::Faa);
+        let a = model.predict(&Scenario::high_contention(&order[..n], Primitive::Faa));
+        let b = model.predict(&Scenario::high_contention(&order[..n + 1], Primitive::Faa));
         prop_assert!(b.latency_cycles > a.latency_cycles);
         prop_assert!(a.throughput_ops_per_sec > 0.0);
-        let single = model.predict_hc(&order[..1], Primitive::Faa);
+        let single = model.predict(&Scenario::high_contention(&order[..1], Primitive::Faa));
         prop_assert!(a.throughput_ops_per_sec <= single.throughput_ops_per_sec);
         // Energy per op increases with contention.
         prop_assert!(b.energy_per_op_nj > a.energy_per_op_nj);
@@ -61,9 +61,9 @@ proptest! {
     #[test]
     fn lc_linearity(n in 1usize..288, work in 0.0f64..1000.0) {
         let topo = presets::xeon_phi_7290();
-        let model = Model::new(topo, ModelParams::knl_default());
-        let one = model.predict_lc(1, Primitive::Cas, work);
-        let many = model.predict_lc(n, Primitive::Cas, work);
+        let model = BouncingModel::new(topo, ModelParams::knl_default());
+        let one = model.predict(&Scenario::low_contention(1, Primitive::Cas, work));
+        let many = model.predict(&Scenario::low_contention(n, Primitive::Cas, work));
         prop_assert!((many.throughput_ops_per_sec / one.throughput_ops_per_sec - n as f64).abs() < 1e-6);
         prop_assert_eq!(many.latency_cycles, one.latency_cycles);
     }
@@ -73,10 +73,10 @@ proptest! {
     #[test]
     fn cas_loop_probability(n in 2usize..72, w1 in 0.0f64..200.0, extra in 1.0f64..500.0) {
         let topo = presets::xeon_e5_2695_v4();
-        let model = Model::new(topo.clone(), ModelParams::e5_default());
+        let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
         let order = Placement::Packed.full_order(&topo);
-        let s1 = model.predict_cas_loop(&order[..n], w1).success_rate().unwrap();
-        let s2 = model.predict_cas_loop(&order[..n], w1 + extra).success_rate().unwrap();
+        let s1 = model.predict(&Scenario::cas_loop(&order[..n], w1)).success_rate().unwrap();
+        let s2 = model.predict(&Scenario::cas_loop(&order[..n], w1 + extra)).success_rate().unwrap();
         prop_assert!((0.0..=1.0).contains(&s1));
         prop_assert!(s2 <= s1 + 1e-9, "wider window can't succeed more");
     }
@@ -104,37 +104,6 @@ proptest! {
         for (xi, ci) in x.iter().zip(&c) {
             prop_assert!((xi - ci).abs() < 0.1, "x={x:?} c={c:?}");
         }
-    }
-
-    /// `BouncingModel::predict` on a high-contention scenario reproduces
-    /// the direct `predict_hc` numbers exactly — every field, bit for
-    /// bit, for any thread count, placement and primitive. The Scenario
-    /// IR is a routing layer, never an approximation.
-    #[test]
-    fn predict_hc_scenario_is_bit_identical(
-        n in 1usize..72,
-        packed in any::<bool>(),
-        prim_idx in 0usize..4,
-    ) {
-        let topo = presets::xeon_e5_2695_v4();
-        let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
-        let p = if packed { Placement::Packed } else { Placement::Scattered };
-        let threads = p.assign(&topo, n);
-        let prim = [Primitive::Faa, Primitive::Cas, Primitive::Swap, Primitive::Tas][prim_idx];
-        let direct = model.predict_hc(&threads, prim);
-        let via_scenario = model.predict(&Scenario::high_contention(&threads, prim));
-        prop_assert_eq!(via_scenario.n, direct.n);
-        prop_assert_eq!(via_scenario.mixture, direct.mixture);
-        prop_assert_eq!(
-            via_scenario.expected_transfer_cycles.to_bits(),
-            direct.expected_transfer_cycles.to_bits()
-        );
-        prop_assert_eq!(
-            via_scenario.throughput_ops_per_sec.to_bits(),
-            direct.throughput_ops_per_sec.to_bits()
-        );
-        prop_assert_eq!(via_scenario.latency_cycles.to_bits(), direct.latency_cycles.to_bits());
-        prop_assert_eq!(via_scenario.energy_per_op_nj.to_bits(), direct.energy_per_op_nj.to_bits());
     }
 
     /// Jain predictions are valid fairness indices for any contender

@@ -8,7 +8,7 @@ use crate::simrun::SimRunConfig;
 use bounce_atomics::Primitive;
 use bounce_core::fit::{fit_transfer_costs, FitReport, ScenarioObservation};
 use bounce_core::validate::{mape, validated_rows, ValidationMetric, ValidationRow};
-use bounce_core::{Model, ModelParams, Prediction, Scenario};
+use bounce_core::{BouncingModel, ModelParams, Prediction, Scenario};
 use bounce_topo::{MachineTopology, Placement, PlacementOrder};
 use bounce_workloads::Workload;
 
@@ -99,7 +99,7 @@ pub fn try_fit_and_validate(
         .map(|(_, m)| ScenarioObservation::new(scenario_of(m), m.throughput_ops_per_sec))
         .collect();
     let fit = fit_transfer_costs(topo, &train, initial);
-    let model = Model::new(topo.clone(), fit.params.clone());
+    let model = BouncingModel::new(topo.clone(), fit.params.clone());
     let predicted: Vec<(Scenario, Prediction)> = multi
         .iter()
         .map(|m| {

@@ -29,6 +29,7 @@
 
 pub mod campaign;
 pub mod experiments;
+pub mod json;
 pub mod measurement;
 pub mod modeltime;
 pub mod native;

@@ -54,13 +54,13 @@ pub fn reset() {
 mod tests {
     use super::*;
     use bounce_atomics::Primitive;
-    use bounce_core::{Model, ModelParams, Scenario};
+    use bounce_core::{BouncingModel, ModelParams, Scenario};
     use bounce_topo::{presets, Placement};
 
     #[test]
     fn timed_prediction_matches_untimed_and_counts() {
         let topo = presets::tiny_test_machine();
-        let model = Model::new(topo.clone(), ModelParams::tiny_default());
+        let model = BouncingModel::new(topo.clone(), ModelParams::tiny_default());
         let threads = Placement::Packed.assign(&topo, 4);
         let s = Scenario::high_contention(&threads, Primitive::Faa);
         let before = snapshot();

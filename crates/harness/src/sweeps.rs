@@ -2,6 +2,7 @@
 //! variants) and tabulate the standard metric set. The experiment
 //! registry specialises these; downstream users get them directly.
 
+use crate::json::{self, Json};
 use crate::measurement::Measurement;
 use crate::parallel::par_map;
 use crate::report::{fmt_f64, Table};
@@ -110,35 +111,27 @@ pub fn measurements_table(title: &str, measurements: &[Measurement]) -> Table {
 /// byte-deterministic: field order is fixed and floats go through the
 /// same [`fmt_f64`] as the tables.
 pub fn measurements_json(id: &str, measurements: &[Measurement]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"id\": \"{id}\",\n"));
-    s.push_str("  \"points\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"machine\": \"{}\", \"backend\": \"{}\", \"n\": {}, \
-             \"throughput_mops\": {}, \"goodput_mops\": {}, \"fail_rate\": {}, \
-             \"mean_lat_cycles\": {}, \"p50_lat_cycles\": {}, \"p99_lat_cycles\": {}, \
-             \"jain\": {}, \"energy_nj_per_op\": {}}}{}\n",
-            m.workload,
-            m.machine,
-            m.backend.label(),
-            m.n,
-            fmt_f64(m.throughput_ops_per_sec / 1e6),
-            fmt_f64(m.goodput_ops_per_sec / 1e6),
-            fmt_f64(m.failure_rate),
-            fmt_f64(m.mean_latency_cycles),
-            fmt_f64(m.p50_latency_cycles),
-            fmt_f64(m.p99_latency_cycles),
-            fmt_f64(m.jain),
-            m.energy_per_op_nj
-                .map(fmt_f64)
-                .unwrap_or_else(|| "null".into()),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let num = |v: f64| Json::num(v, fmt_f64);
+    let point = |m: &Measurement| {
+        let energy = m.energy_per_op_nj.map_or(Json::Null, num);
+        Json::obj([
+            ("workload", Json::Str(m.workload.clone())),
+            ("machine", Json::Str(m.machine.clone())),
+            ("backend", Json::Str(m.backend.label().to_string())),
+            ("n", Json::Num(m.n.to_string())),
+            ("throughput_mops", num(m.throughput_ops_per_sec / 1e6)),
+            ("goodput_mops", num(m.goodput_ops_per_sec / 1e6)),
+            ("fail_rate", num(m.failure_rate)),
+            ("mean_lat_cycles", num(m.mean_latency_cycles)),
+            ("p50_lat_cycles", num(m.p50_latency_cycles)),
+            ("p99_lat_cycles", num(m.p99_latency_cycles)),
+            ("jain", num(m.jain)),
+            ("energy_nj_per_op", energy),
+        ])
+    };
+    let points = Json::Arr(measurements.iter().map(point).collect());
+    let doc = Json::obj([("id", Json::Str(id.into())), ("points", points)]);
+    json::render(&doc, 2)
 }
 
 /// Pair measurements with model predictions into validation rows (the
@@ -260,6 +253,21 @@ mod tests {
         assert!(!json.contains("},\n  ]"), "trailing comma: {json}");
         // Deterministic rendering: same measurements, same bytes.
         assert_eq!(json, measurements_json("hc-faa", &ms));
+    }
+
+    #[test]
+    fn json_writes_non_finite_measurements_as_null() {
+        let topo = presets::tiny_test_machine();
+        let w = Workload::HighContention {
+            prim: Primitive::Faa,
+        };
+        let mut ms = sweep_threads(&topo, &w, &[2], &quick(&topo));
+        ms[0].failure_rate = f64::NAN;
+        ms[0].jain = f64::INFINITY;
+        let json = measurements_json("hc-faa", &ms);
+        assert!(json.contains("\"fail_rate\": null"), "{json}");
+        assert!(json.contains("\"jain\": null"), "{json}");
+        assert!(crate::json::parse(&json).is_ok(), "{json}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! [`Predictor::predict`]: bounce_core::Predictor::predict
 
 use crate::experiments::{measure, ExpCtx, ExpError, Machine};
+use crate::json::{self, Json};
 use crate::measurement::Measurement;
 use crate::modeltime::{self, predict_timed};
 use bounce_atomics::Primitive;
@@ -58,35 +59,27 @@ impl ValidationReport {
     /// Deterministic JSON rendering (modulo the timing fields — the CI
     /// gate compares only the per-experiment MAPEs).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"mode\": \"{}\",\n",
-            if self.quick { "quick" } else { "full" }
-        ));
-        s.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"experiment\": \"{}\", \"machine\": \"{}\", \"metric\": \"{}\", \
-                 \"points\": {}, \"mape_pct\": {:.3}, \"max_ape_pct\": {:.3}}}{}\n",
-                e.experiment,
-                e.machine,
-                e.metric,
-                e.rows.len(),
-                e.mape_pct,
-                e.max_ape_pct,
-                if i + 1 == self.entries.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"sim_seconds\": {:.3},\n", self.sim_seconds));
-        s.push_str(&format!(
-            "  \"model_seconds\": {:.6},\n",
-            self.model_seconds
-        ));
-        s.push_str(&format!("  \"model_calls\": {}\n", self.model_calls));
-        s.push_str("}\n");
-        s
+        let fixed = |x: f64, digits: usize| Json::num(x, |x| format!("{x:.digits$}"));
+        let entry = |e: &ValidationEntry| {
+            Json::obj([
+                ("experiment", Json::Str(e.experiment.clone())),
+                ("machine", Json::Str(e.machine.clone())),
+                ("metric", Json::Str(e.metric.clone())),
+                ("points", Json::Num(e.rows.len().to_string())),
+                ("mape_pct", fixed(e.mape_pct, 3)),
+                ("max_ape_pct", fixed(e.max_ape_pct, 3)),
+            ])
+        };
+        let mode = if self.quick { "quick" } else { "full" };
+        let entries = self.entries.iter().map(entry).collect();
+        let doc = Json::obj([
+            ("mode", Json::Str(mode.into())),
+            ("entries", Json::Arr(entries)),
+            ("sim_seconds", fixed(self.sim_seconds, 3)),
+            ("model_seconds", fixed(self.model_seconds, 6)),
+            ("model_calls", Json::Num(self.model_calls.to_string())),
+        ]);
+        json::render(&doc, 2)
     }
 }
 

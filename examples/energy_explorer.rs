@@ -9,7 +9,7 @@
 
 use bounce::harness::experiments::Machine;
 use bounce::harness::simrun::{sim_measure, SimRunConfig};
-use bounce::model::Model;
+use bounce::model::{BouncingModel, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::Placement;
 use bounce::workloads::Workload;
@@ -18,7 +18,7 @@ use bounce_atomics::Primitive;
 fn main() {
     for machine in Machine::ALL {
         let topo = machine.topo();
-        let model = Model::new(topo.clone(), machine.model_params());
+        let model = BouncingModel::new(topo.clone(), machine.model_params());
         let order = Placement::Packed.full_order(&topo);
         let mut cfg = SimRunConfig::for_machine(&topo);
         cfg.params.arbitration = ArbitrationPolicy::Fifo;
@@ -50,7 +50,7 @@ fn main() {
                 n,
                 &cfg,
             );
-            let pred = model.predict_hc(&order[..n], Primitive::Faa);
+            let pred = model.predict(&Scenario::high_contention(&order[..n], Primitive::Faa));
             println!(
                 "{:>4} {:>14.1} {:>14.1} {:>14.1}",
                 n,

@@ -9,7 +9,7 @@
 use bounce::harness::simrun::{sim_measure, SimRunConfig};
 use bounce::model::fit::{fit_transfer_costs, ScenarioObservation};
 use bounce::model::validate::{mape, validated_rows, ValidationMetric};
-use bounce::model::{Model, ModelParams, Predictor, Scenario};
+use bounce::model::{BouncingModel, ModelParams, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::{presets, Placement, PlacementOrder};
 use bounce::workloads::Workload;
@@ -61,7 +61,7 @@ fn main() {
     );
 
     // 3. Validate on the whole sweep (including held-out points).
-    let model = Model::new(topo.clone(), fit.params.clone());
+    let model = BouncingModel::new(topo.clone(), fit.params.clone());
     let triples: Vec<_> = measured
         .iter()
         .map(|(s, x)| (s.clone(), model.predict(s), *x))

@@ -8,7 +8,7 @@
 //! ```
 
 use bounce::harness::native::{native_measure, NativeConfig};
-use bounce::model::{Model, ModelParams};
+use bounce::model::{BouncingModel, ModelParams};
 use bounce::topo::{host, Placement};
 use bounce::workloads::Workload;
 use bounce_atomics::Primitive;
@@ -35,7 +35,7 @@ fn main() {
     };
     // A generic model instance for regime advice (host transfer costs
     // unknown — E5 defaults give the right orders of magnitude).
-    let advisor = Model::new(topo.clone(), {
+    let advisor = BouncingModel::new(topo.clone(), {
         let mut p = ModelParams::e5_default();
         p.freq_ghz = topo.freq_ghz;
         p

@@ -8,7 +8,7 @@
 //! ```
 
 use bounce::harness::simrun::{sim_measure_pinned, SimRunConfig};
-use bounce::model::{Model, ModelParams};
+use bounce::model::{BouncingModel, ModelParams, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::{presets, Placement};
 use bounce::workloads::Workload;
@@ -20,7 +20,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(24);
     let topo = presets::xeon_e5_2695_v4();
-    let model = Model::new(topo.clone(), ModelParams::e5_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
     let mut cfg = SimRunConfig::for_machine(&topo);
     cfg.params.arbitration = ArbitrationPolicy::Fifo;
 
@@ -34,7 +34,7 @@ fn main() {
     let mut ranked: Vec<(Placement, f64)> = Vec::new();
     for p in Placement::ALL {
         let hw = p.assign(&topo, n);
-        let pred = model.predict_hc(&hw, Primitive::Faa);
+        let pred = model.predict(&Scenario::high_contention(&hw, Primitive::Faa));
         let meas = sim_measure_pinned(
             &topo,
             &Workload::HighContention {

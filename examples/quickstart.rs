@@ -7,7 +7,7 @@
 //! ```
 
 use bounce::harness::simrun::{sim_measure, SimRunConfig};
-use bounce::model::{Model, ModelParams};
+use bounce::model::{BouncingModel, ModelParams, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::{presets, Placement};
 use bounce::workloads::Workload;
@@ -19,7 +19,7 @@ fn main() {
     println!("machine: {}\n", topo.name);
 
     // 2. The model: four transfer costs + per-primitive issue costs.
-    let model = Model::new(topo.clone(), ModelParams::e5_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
     let order = Placement::Packed.full_order(&topo);
 
     // 3. The simulator stands in for the hardware.
@@ -40,7 +40,7 @@ fn main() {
             n,
             &cfg,
         );
-        let pred = model.predict_hc(&order[..n], Primitive::Faa);
+        let pred = model.predict(&Scenario::high_contention(&order[..n], Primitive::Faa));
         let err = (pred.throughput_ops_per_sec - meas.throughput_ops_per_sec).abs()
             / meas.throughput_ops_per_sec
             * 100.0;

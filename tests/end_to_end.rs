@@ -6,7 +6,7 @@ use bounce::harness::experiments::{self, ExpCtx, Machine};
 use bounce::harness::simrun::{sim_measure, sim_measure_pinned, SimRunConfig};
 use bounce::model::fit::{fit_transfer_costs, ScenarioObservation};
 use bounce::model::validate::{mape, ValidationRow};
-use bounce::model::{Model, ModelParams, Scenario};
+use bounce::model::{BouncingModel, ModelParams, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::{presets, Placement};
 use bounce::workloads::Workload;
@@ -49,13 +49,13 @@ fn fitted_model_predicts_hc_sweep() {
         })
         .collect();
     let fit = fit_transfer_costs(&topo, &obs, &ModelParams::e5_default());
-    let model = Model::new(topo.clone(), fit.params);
+    let model = BouncingModel::new(topo.clone(), fit.params);
     let rows: Vec<ValidationRow> = measured
         .iter()
         .map(|(n, x)| ValidationRow {
             n: *n,
             predicted: model
-                .predict_hc(&order[..*n], Primitive::Faa)
+                .predict(&Scenario::high_contention(&order[..*n], Primitive::Faa))
                 .throughput_ops_per_sec,
             measured: *x,
         })
@@ -101,7 +101,7 @@ fn paper_shape_rankings_hold() {
 fn model_placement_ranking_matches_sim() {
     let topo = presets::xeon_e5_2695_v4();
     let cfg = fifo_cfg(&topo);
-    let model = Model::new(topo.clone(), ModelParams::e5_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
     let n = 24;
     let mut sim_best = (Placement::Linear, 0.0f64);
     let mut model_best = (Placement::Linear, 0.0f64);
@@ -115,7 +115,7 @@ fn model_placement_ranking_matches_sim() {
             &hw,
             &cfg,
         );
-        let pred = model.predict_hc(&hw, Primitive::Faa);
+        let pred = model.predict(&Scenario::high_contention(&hw, Primitive::Faa));
         if meas.throughput_ops_per_sec > sim_best.1 {
             sim_best = (p, meas.throughput_ops_per_sec);
         }

@@ -3,7 +3,7 @@
 //! read/write protocol effect.
 
 use bounce::harness::simrun::{sim_measure, SimRunConfig};
-use bounce::model::{Model, ModelParams};
+use bounce::model::{BouncingModel, ModelParams, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::{presets, Placement};
 use bounce::workloads::{LockShape, Workload};
@@ -65,7 +65,7 @@ fn queue_locks_beat_tas_at_scale() {
 fn striping_multiplies_throughput_and_model_tracks() {
     let topo = presets::xeon_e5_2695_v4();
     let cfg = fifo_cfg(&topo);
-    let model = Model::new(topo.clone(), ModelParams::e5_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
     let n = 16;
     let order = Placement::Packed.assign(&topo, n);
     let measure = |lines: usize| {
@@ -84,7 +84,7 @@ fn striping_multiplies_throughput_and_model_tracks() {
     let x4 = measure(4);
     assert!(x4 > 3.0 * x1, "4 stripes: {x4:.0} vs {x1:.0}");
     let pred4 = model
-        .predict_multiline(&order, Primitive::Faa, 4)
+        .predict(&Scenario::multi_line(&order, Primitive::Faa, 4))
         .throughput_ops_per_sec;
     let err = (pred4 - x4).abs() / x4;
     assert!(err < 0.25, "model striping error {:.1}%", err * 100.0);

@@ -1,5 +1,5 @@
 //! The facade crate re-exports every subsystem under stable paths — a
-//! downstream user writes `bounce::model::Model`, `bounce::sim::Engine`
+//! downstream user writes `bounce::model::BouncingModel`, `bounce::sim::Engine`
 //! etc. These tests pin that surface.
 
 #[test]
@@ -12,7 +12,8 @@ fn facade_paths_resolve() {
     let _ = bounce::atomics::Primitive::Cas;
     let _ = bounce::atomics::CachePadded::new(0u64);
     // model
-    let m = bounce::model::Model::new(topo.clone(), bounce::model::ModelParams::e5_default());
+    let m =
+        bounce::model::BouncingModel::new(topo.clone(), bounce::model::ModelParams::e5_default());
     assert!(m.params().freq_ghz > 0.0);
     // sim
     let params = bounce::sim::SimParams::e5();

@@ -4,7 +4,7 @@
 
 use bounce::harness::simrun::{sim_measure, sim_measure_pinned, SimRunConfig};
 use bounce::model::fairness::{predict_jain, ArbitrationKind};
-use bounce::model::{Model, ModelParams};
+use bounce::model::{BouncingModel, ModelParams, Predictor, Scenario};
 use bounce::sim::ArbitrationPolicy;
 use bounce::topo::{presets, Placement};
 use bounce::workloads::Workload;
@@ -47,7 +47,7 @@ fn fairness_prediction_matches_sim_closely() {
 #[test]
 fn tas_lock_handoff_formula_tracks_sim() {
     let topo = presets::xeon_e5_2695_v4();
-    let model = Model::new(topo.clone(), ModelParams::e5_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
     let mut c = cfg(&topo, ArbitrationPolicy::Fifo);
     c.duration_cycles = 2_000_000;
     for n in [2usize, 8, 36] {
@@ -63,7 +63,9 @@ fn tas_lock_handoff_formula_tracks_sim() {
         );
         let threads = Placement::Packed.assign(&topo, n);
         let pred_tas = model
-            .predict_lock_handoffs(&threads, 100.0)
+            .predict(&Scenario::lock_handoff(&threads, 100.0))
+            .lock_handoffs()
+            .expect("a lock scenario predicts handoffs")
             .get(bounce::workloads::LockShape::Tas);
         let rel = (pred_tas - meas.goodput_ops_per_sec).abs() / meas.goodput_ops_per_sec;
         assert!(
@@ -81,7 +83,7 @@ fn tas_lock_handoff_formula_tracks_sim() {
 #[test]
 fn zipf_throughput_declines_and_bound_holds() {
     let topo = presets::xeon_e5_2695_v4();
-    let model = Model::new(topo.clone(), ModelParams::e5_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::e5_default());
     let c = cfg(&topo, ArbitrationPolicy::Fifo);
     let n = 16;
     let lines = 8;
@@ -105,7 +107,7 @@ fn zipf_throughput_declines_and_bound_holds() {
         if theta > 0.0 {
             let p0 = bounce::workloads::Zipf::new(lines, theta).pmf(0);
             let hc = model
-                .predict_hc(&order, Primitive::Faa)
+                .predict(&Scenario::high_contention(&order, Primitive::Faa))
                 .throughput_ops_per_sec;
             let bound = hc / p0;
             let rel = (bound - x).abs() / x;
@@ -124,7 +126,7 @@ fn zipf_throughput_declines_and_bound_holds() {
 #[test]
 fn striping_model_tracks_every_point() {
     let topo = presets::xeon_phi_7290();
-    let model = Model::new(topo.clone(), ModelParams::knl_default());
+    let model = BouncingModel::new(topo.clone(), ModelParams::knl_default());
     let c = cfg(&topo, ArbitrationPolicy::Fifo);
     let n = 16;
     let order = Placement::Packed.assign(&topo, n);
@@ -139,7 +141,7 @@ fn striping_model_tracks_every_point() {
             &c,
         );
         let pred = model
-            .predict_multiline(&order, Primitive::Faa, lines)
+            .predict(&Scenario::multi_line(&order, Primitive::Faa, lines))
             .throughput_ops_per_sec;
         let rel = (pred - meas.throughput_ops_per_sec).abs() / meas.throughput_ops_per_sec;
         assert!(
